@@ -1,0 +1,105 @@
+//! Synthesis pinned by value: one small fixed circuit compiled with the
+//! fast preset, a fixed seed and no cache must reproduce recorded gradient
+//! evaluation counts, per-block menus (sizes and distance bits) and the
+//! selected sample indices — at every thread budget.
+//!
+//! The other determinism tests compare two runs of the *current* code with
+//! each other; this one compares against constants, so a refactor of the
+//! optimizer, the LEAP search or the work queue that silently changes the
+//! search trajectory fails here even when it stays self-consistent. Update
+//! the constants only for a change that is meant to alter synthesis.
+//!
+//! The constants are the default strict numerics mode's. The
+//! `simd-relaxed` build rounds differently (DESIGN.md §4j), so there the
+//! test only checks that every thread budget reproduces the width-1 run.
+
+use quest::{Quest, QuestConfig, QuestResult};
+
+const SEED: u64 = 0x5EED;
+
+/// Summed `synthesis_evals` over all blocks.
+const EVALS: usize = 74_634;
+/// Menu size of each block, in block order.
+const MENU_SIZES: &[usize] = &[8, 8, 2, 8, 8, 2];
+/// `f64::to_bits` of every menu distance, block by block.
+#[rustfmt::skip]
+const DISTANCE_BITS: &[&[u64]] = &[
+    &[
+        4594242083424128066, 4603918951183768271, 4603918951198724774,
+        4591858300795802643, 4591858961654533872, 4591858176471323031,
+        4591858176471337616, 0,
+    ],
+    &[
+        4591858176472748726, 4603876608451591608, 4604575931774427723,
+        4604575931774430786, 0, 4558679600508900675,
+        4591858176673338353, 4605712973591995575,
+    ],
+    &[4501801705098182400, 0],
+    &[
+        4594242083424128066, 4603918951183768271, 4603918951198724774,
+        4591858300795802643, 4591858961654533872, 4591858176471323031,
+        4591858176471337616, 0,
+    ],
+    &[
+        4591858176472748726, 4603876608451591608, 4604575931774427723,
+        4604575931774430786, 0, 4558679600508900675,
+        4591858176673338353, 4605712973591995575,
+    ],
+    &[4501801705098182400, 0],
+];
+/// Chosen approximation index per block, sample by sample.
+const SELECTED: &[&[usize]] = &[
+    &[0, 0, 1, 0, 0, 0],
+    &[0, 4, 1, 0, 0, 0],
+    &[0, 0, 0, 0, 0, 0],
+    &[0, 0, 0, 0, 6, 1],
+    &[0, 4, 0, 3, 0, 1],
+    &[0, 0, 0, 0, 0, 1],
+    &[4, 5, 1, 0, 0, 0],
+    &[3, 0, 0, 0, 0, 1],
+];
+
+/// The pinned quantities of one compile.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    evals: usize,
+    sizes: Vec<usize>,
+    bits: Vec<Vec<u64>>,
+    selected: Vec<Vec<usize>>,
+}
+
+fn compile(parallel_width: usize) -> Pinned {
+    let mut cfg = QuestConfig::fast().with_seed(SEED);
+    cfg.parallel_width = Some(parallel_width);
+    let r: QuestResult = Quest::new(cfg).compile(&qbench::spin::tfim(4, 2, 0.1));
+    Pinned {
+        evals: r.blocks.iter().map(|b| b.synthesis_evals).sum(),
+        sizes: r.blocks.iter().map(|b| b.approximations.len()).collect(),
+        bits: r
+            .blocks
+            .iter()
+            .map(|b| {
+                b.approximations
+                    .iter()
+                    .map(|a| a.distance.to_bits())
+                    .collect()
+            })
+            .collect(),
+        selected: r.samples.iter().map(|s| s.indices.clone()).collect(),
+    }
+}
+
+#[test]
+fn synthesis_matches_recorded_values_at_every_width() {
+    let recorded = Pinned {
+        evals: EVALS,
+        sizes: MENU_SIZES.to_vec(),
+        bits: DISTANCE_BITS.iter().map(|b| b.to_vec()).collect(),
+        selected: SELECTED.iter().map(|s| s.to_vec()).collect(),
+    };
+    let serial = compile(1);
+    if cfg!(not(feature = "simd-relaxed")) {
+        assert_eq!(serial, recorded, "width 1");
+    }
+    assert_eq!(compile(2), serial, "width 2");
+}
