@@ -154,58 +154,7 @@ pub fn minimize_discrete(
     }
 }
 
-/// The outcome of a continuous annealing run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ContinuousOutcome {
-    /// Best point found.
-    pub best: Vec<f64>,
-    /// Objective value at `best`.
-    pub best_value: f64,
-    /// Objective evaluations spent.
-    pub evals: usize,
-    /// The [`AnnealConfig::deadline`] watchdog fired; `best` is the
-    /// best-so-far point at that moment.
-    pub timed_out: bool,
-}
-
-/// Minimizes `f` over the box `Πᵢ [bounds[i].0, bounds[i].1]` — the
-/// continuous form SciPy's `dual_annealing` exposes. (QUEST itself anneals
-/// over the discrete block-choice lattice via [`minimize_discrete`]; this
-/// completes the substrate and is used by its own tests.)
-///
-/// # Panics
-///
-/// Panics if `bounds` is empty or any interval is degenerate/inverted.
-pub fn minimize_continuous(
-    f: &dyn Fn(&[f64]) -> f64,
-    bounds: &[(f64, f64)],
-    cfg: &AnnealConfig,
-) -> ContinuousOutcome {
-    assert!(!bounds.is_empty(), "need at least one dimension");
-    assert!(
-        bounds
-            .iter()
-            .all(|&(lo, hi)| hi > lo && lo.is_finite() && hi.is_finite()),
-        "bounds must be finite non-degenerate intervals"
-    );
-    let decode = |x: &[f64]| -> Vec<f64> {
-        x.iter()
-            .zip(bounds)
-            .map(|(&xi, &(lo, hi))| lo + xi * (hi - lo))
-            .collect()
-    };
-    let _span = qobs::span!("qanneal.minimize_continuous", dims = bounds.len());
-    let run = anneal01(&|x| f(&decode(x)), bounds.len(), cfg);
-    record_run(&run);
-    ContinuousOutcome {
-        best: decode(&run.best),
-        best_value: run.best_value,
-        evals: run.evals,
-        timed_out: run.timed_out,
-    }
-}
-
-/// Raw engine statistics shared by both front ends.
+/// Raw engine statistics of one [`anneal01`] run.
 struct EngineRun {
     best: Vec<f64>,
     best_value: f64,
@@ -588,52 +537,5 @@ mod tests {
     #[should_panic(expected = "every dimension needs choices")]
     fn zero_arity_panics() {
         let _ = minimize_discrete(&|_| 0.0, &[3, 0], &AnnealConfig::default());
-    }
-
-    #[test]
-    fn continuous_minimizes_shifted_sphere() {
-        let f = |x: &[f64]| (x[0] - 1.5).powi(2) + (x[1] + 0.5).powi(2);
-        let cfg = AnnealConfig {
-            max_evals: 8000,
-            ..AnnealConfig::default()
-        };
-        let out = minimize_continuous(&f, &[(-4.0, 4.0), (-4.0, 4.0)], &cfg);
-        assert!(out.best_value < 0.01, "value {}", out.best_value);
-        assert!((out.best[0] - 1.5).abs() < 0.15);
-        assert!((out.best[1] + 0.5).abs() < 0.15);
-    }
-
-    #[test]
-    fn continuous_escapes_rastrigin_traps() {
-        // 1-D Rastrigin: global minimum 0 at x = 0 with many local minima.
-        let f = |x: &[f64]| {
-            let v = x[0];
-            10.0 + v * v - 10.0 * (2.0 * std::f64::consts::PI * v).cos()
-        };
-        let cfg = AnnealConfig {
-            max_evals: 8000,
-            seed: 5,
-            ..AnnealConfig::default()
-        };
-        let out = minimize_continuous(&f, &[(-5.12, 5.12)], &cfg);
-        assert!(out.best_value < 1.0, "stuck at {}", out.best_value);
-    }
-
-    #[test]
-    fn continuous_stays_in_bounds() {
-        let f = |x: &[f64]| -x[0]; // minimized at the upper bound
-        let out = minimize_continuous(&f, &[(2.0, 3.0)], &AnnealConfig::default());
-        assert!((2.0..=3.0).contains(&out.best[0]));
-        assert!(
-            out.best[0] > 2.9,
-            "should push to the boundary: {}",
-            out.best[0]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "non-degenerate")]
-    fn inverted_bounds_panic() {
-        let _ = minimize_continuous(&|_| 0.0, &[(1.0, 1.0)], &AnnealConfig::default());
     }
 }

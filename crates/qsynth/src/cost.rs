@@ -33,8 +33,11 @@
 //! All scratch lives in a caller-owned [`BatchWorkspace`] sized once for a
 //! maximum lane count, so an evaluation performs **zero heap allocations**
 //! at any batch width (covered by the counting-allocator test
-//! `tests/zero_alloc.rs`). The serial [`Workspace`] API is a width-1 view
-//! of the same code path.
+//! `tests/zero_alloc.rs`). The optimizer reaches it through
+//! [`HsCost::batch_evaluator`], sized to its start count. The single-point
+//! [`Workspace`] API ([`HsCost::cost`], [`HsCost::cost_and_grad`]) is a
+//! width-1 view of the same code path, kept for tests, reference checks
+//! and per-evaluation microbenchmarks.
 //!
 //! # Determinism
 //!
@@ -67,9 +70,9 @@ enum OpKind {
 
 /// Cost function object binding a target unitary to a template.
 ///
-/// The object itself is immutable (and `Sync` — parallel optimizer starts
-/// share it); all per-evaluation scratch lives in a [`BatchWorkspace`] (or
-/// its width-1 [`Workspace`] wrapper) obtained from this object.
+/// The object itself is immutable (and `Sync`); all per-evaluation scratch
+/// lives in a [`BatchWorkspace`] (or its width-1 [`Workspace`] wrapper)
+/// obtained from this object.
 pub struct HsCost<'a> {
     template: &'a Template,
     target: Matrix,
@@ -134,23 +137,9 @@ pub struct Workspace {
     inner: BatchWorkspace,
 }
 
-/// [`HsCost`] bundled with a [`Workspace`] — implements
-/// [`crate::optimize::Evaluator`] so scalar optimizer starts can evaluate
-/// without per-call allocation.
-pub struct HsEvaluator<'c, 'a> {
-    cost: &'c HsCost<'a>,
-    ws: Workspace,
-}
-
-impl crate::optimize::Evaluator for HsEvaluator<'_, '_> {
-    fn eval(&mut self, params: &[f64], grad: &mut [f64]) -> f64 {
-        self.cost.cost_and_grad(&mut self.ws, params, grad)
-    }
-}
-
 /// [`HsCost`] bundled with a [`BatchWorkspace`] — implements
-/// [`crate::optimize::BatchEvaluator`], the hot-loop entry point of the
-/// batched multi-start optimizer.
+/// [`crate::optimize::BatchEvaluator`], the evaluator the multi-start
+/// optimizer drives.
 pub struct HsBatchEvaluator<'c, 'a> {
     cost: &'c HsCost<'a>,
     ws: BatchWorkspace,
@@ -259,15 +248,6 @@ impl<'a> HsCost<'a> {
             w2: vec![C64::ZERO; sz],
             qred: vec![C64::ZERO; 2 * self.dim * capacity],
             t: vec![C64::ZERO; capacity],
-        }
-    }
-
-    /// Returns a self-contained serial evaluator (cost + workspace) for the
-    /// scalar optimizer.
-    pub fn evaluator(&self) -> HsEvaluator<'_, 'a> {
-        HsEvaluator {
-            cost: self,
-            ws: self.workspace(),
         }
     }
 

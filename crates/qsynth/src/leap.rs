@@ -6,8 +6,7 @@ use crate::optimize::{minimize_batched, OptimizerConfig};
 use crate::template::Template;
 use qcircuit::Circuit;
 use qmath::Matrix;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of the synthesis search.
@@ -35,9 +34,9 @@ pub struct SynthesisConfig {
     pub coupling: Option<qcircuit::topology::CouplingMap>,
     /// Total worker-thread budget for this synthesis run. The frontier's
     /// candidate placements expand concurrently up to this width, one
-    /// thread per job; within each job the optimizer packs its restarts
-    /// into the SIMD lanes of one batched evaluator
-    /// ([`OptimizerConfig::batch_width`]) instead of spawning threads.
+    /// thread per job ([`crate::pool::run_indexed`]); within each job the
+    /// optimizer packs its restarts into the SIMD lanes of one batched
+    /// evaluator instead of spawning threads.
     /// `None` uses [`std::thread::available_parallelism`]; `Some(1)` is
     /// fully serial. The result is **bit-identical** for every width (each
     /// candidate's RNG seed depends only on its tree position, and the
@@ -337,16 +336,18 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
         // RNG seed depends only on its (layer, node, pair) position, so the
         // jobs are order-independent and can run on any number of workers.
         let jobs = frontier.len() * pairs.len();
-        let frontier_width = budget.min(jobs).max(1);
-        let expand = |ni: usize, pi: usize| -> Option<(Node, usize, usize)> {
-            // A deadline that expires mid-layer skips the remaining jobs:
-            // which jobs got skipped is wall-clock dependent, but any
-            // deadline-truncated result is flagged and treated as degraded
-            // downstream, so the nondeterminism never reaches a clean run.
-            if cfg.deadline.is_some_and(|dl| started.elapsed() >= dl) {
+        // A deadline that expires mid-layer skips the remaining jobs: which
+        // jobs got skipped is wall-clock dependent, but any
+        // deadline-truncated result is flagged and treated as degraded
+        // downstream, so the nondeterminism never reaches a clean run.
+        let deadline_hit = || {
+            let expired = cfg.deadline.is_some_and(|dl| started.elapsed() >= dl);
+            if expired {
                 hard_expired.store(true, Ordering::Relaxed);
-                return None;
             }
+            expired
+        };
+        let expand = |ni: usize, pi: usize| -> (Node, usize, usize) {
             let node = &frontier[ni];
             let (c, t) = pairs[pi];
             let template = node.template.with_layer(c, t);
@@ -384,7 +385,7 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
                 }
             }
             let evals = out.evals;
-            Some((
+            (
                 Node {
                     template,
                     params: out.params,
@@ -392,56 +393,26 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
                 },
                 evals,
                 out.poisoned_starts,
-            ))
+            )
         };
 
-        type Job = Option<(Node, usize, usize)>;
-        let expanded: Vec<Job> = if frontier_width > 1 {
-            // Deterministic parallel expansion: workers pull job indices
-            // from an atomic queue and publish into per-job cells; the
-            // collection below walks the cells in placement order, so the
-            // recorded candidates, eval counts, and children are identical
-            // to the serial sweep.
-            let cells: Vec<OnceLock<Job>> = (0..jobs).map(|_| OnceLock::new()).collect();
-            let next = AtomicUsize::new(0);
-            // A worker panic must degrade, not tear down synthesis: the
-            // survivors drain the queue, and any job whose cell was never
-            // set is treated as a skipped expansion (counted as a poisoned
-            // start so the run is reported degraded).
-            let scope_result = crossbeam::thread::scope(|scope| {
-                for _ in 0..frontier_width {
-                    scope.spawn(|_| loop {
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        if j >= jobs {
-                            break;
-                        }
-                        let _ = cells[j].set(expand(j / pairs.len(), j % pairs.len()));
-                    });
-                }
-            });
-            if scope_result.is_err() {
-                qobs::metrics::counter("qsynth.worker_panics", 1);
-            }
-            cells
-                .into_iter()
-                .map(|cell| {
-                    let slot = cell.into_inner();
-                    if slot.is_none() {
-                        result.poisoned_starts += 1;
-                    }
-                    slot.flatten()
-                })
-                .collect()
-        } else {
-            (0..jobs)
-                .map(|j| expand(j / pairs.len(), j % pairs.len()))
-                .collect()
-        };
+        // The work queue publishes job results in placement order, so the
+        // recorded candidates, eval counts, and children are identical to
+        // the serial sweep.
+        let expanded = crate::pool::run_indexed(jobs, budget, deadline_hit, |j| {
+            expand(j / pairs.len(), j % pairs.len())
+        });
 
         let mut children: Vec<Node> = Vec::with_capacity(jobs);
-        for job in expanded {
-            let Some((child, evals, poisoned)) = job else {
-                continue; // skipped by the mid-layer deadline check
+        for slot in expanded {
+            let Some((child, evals, poisoned)) = slot else {
+                // Skipped by the deadline, or lost with a dead worker; only
+                // the latter counts as a poisoned start, so the run is
+                // reported degraded even without a deadline.
+                if !hard_expired.load(Ordering::Relaxed) {
+                    result.poisoned_starts += 1;
+                }
+                continue;
             };
             result.gradient_evals += evals;
             result.poisoned_starts += poisoned;

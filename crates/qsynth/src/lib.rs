@@ -33,6 +33,7 @@
 pub mod cost;
 pub mod leap;
 pub mod optimize;
+pub mod pool;
 pub mod template;
 pub mod two_qubit;
 

@@ -5,32 +5,30 @@
 //! cost and gradient are cheap and smooth; restarts draw fresh angles
 //! uniformly from `[−π, π]`.
 //!
-//! Starts are independent, so [`minimize`] runs them on a bounded worker
-//! pool (the PR-2 fan-out pattern) while staying **deterministic**: each
-//! start's initial point comes from fast-forwarding a single seeded RNG
-//! stream to that start's position (so start `s` sees exactly the draws the
-//! serial loop would have given it), and the reduction picks the best
-//! `(cost, start_index)` pair — bit-identical to the serial sweep for any
-//! worker count. See DESIGN.md § "Synthesis hot path".
+//! [`minimize_batched`] is the one optimizer. Instead of one thread per
+//! start it packs the live starts into the **lanes** of one
+//! structure-of-arrays [`BatchEvaluator`], so a single template traversal
+//! produces every start's cost and gradient. The lane count is not a
+//! setting: it is the number of starts, capped at
+//! [`qmath::kernels::MAX_BATCH`]. Each lane carries its own Adam state;
+//! lanes retire independently when their start converges, early-stops, or
+//! exhausts its iteration budget, and freed lanes are refilled from the
+//! start queue.
 //!
-//! [`minimize_batched`] is the faster sibling used by the synthesis hot
-//! loop: instead of one thread per start it packs all live starts into the
-//! **lanes** of one structure-of-arrays [`BatchEvaluator`], so a single
-//! template traversal produces every start's cost and gradient. Each lane
-//! carries its own Adam state; lanes retire independently when their start
-//! converges, early-stops, or exhausts its iteration budget, and freed
-//! lanes are refilled from the start queue. Because batched cost/gradient
-//! kernels are bit-identical per lane at any width, the per-start outcomes
-//! — and therefore the reduction — are bit-identical to the serial sweep
-//! for any batch width. See DESIGN.md § "Batched multi-start evaluation".
+//! The result is **deterministic** and equal to a serial sweep over the
+//! starts: start `s`'s initial point comes from fast-forwarding one seeded
+//! RNG stream to that start's position (so it sees exactly the draws a
+//! serial shared-RNG loop would give it), batched cost/gradient kernels
+//! are bit-identical per lane at any width, and the reduction picks the
+//! best `(cost, start_index)` pair. `tests/batch_invariance.rs` checks this
+//! against an independent serial Adam sweep at widths 1, 2, 4 and 8. See
+//! DESIGN.md § "Batched multi-start evaluation".
 
 use qmath::kernels::MAX_BATCH;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
-/// Configuration for [`minimize`].
+/// Configuration for [`minimize_batched`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OptimizerConfig {
     /// Maximum Adam iterations per start.
@@ -43,14 +41,6 @@ pub struct OptimizerConfig {
     pub target_cost: f64,
     /// RNG seed for restart initialization.
     pub seed: u64,
-    /// Run independent starts on a bounded worker pool. The result is
-    /// bit-identical either way; this only trades wall-clock for threads.
-    pub parallel: bool,
-    /// Maximum SoA lanes per batched evaluation in [`minimize_batched`]
-    /// (clamped to [`qmath::kernels::MAX_BATCH`] and to the start count).
-    /// Width only trades throughput: per-start results are bit-identical
-    /// at any batch width. Ignored by the scalar [`minimize`] path.
-    pub batch_width: usize,
 }
 
 impl Default for OptimizerConfig {
@@ -61,8 +51,6 @@ impl Default for OptimizerConfig {
             restarts: 2,
             target_cost: 1e-14,
             seed: 0,
-            parallel: true,
-            batch_width: MAX_BATCH,
         }
     }
 }
@@ -85,24 +73,6 @@ pub struct OptimizeOutcome {
 /// How many times a poisoned (non-finite or panicked) start is redrawn
 /// from a fresh salted seed before it is written off as unusable.
 pub const MAX_POISON_RETRIES: usize = 2;
-
-/// A reusable cost-and-gradient evaluator.
-///
-/// `eval` writes the gradient into a caller-provided buffer and returns the
-/// cost, so a stateful implementation (e.g. [`crate::cost::HsEvaluator`]
-/// with its workspace) performs no per-call allocation. Plain
-/// `FnMut(&[f64], &mut [f64]) -> f64` closures implement this via the
-/// blanket impl.
-pub trait Evaluator {
-    /// Evaluates the cost at `x`, writing `∂cost/∂x` into `grad`.
-    fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64;
-}
-
-impl<F: FnMut(&[f64], &mut [f64]) -> f64> Evaluator for F {
-    fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
-        self(x, grad)
-    }
-}
 
 /// A cost-and-gradient evaluator over a batch of SoA *lanes*.
 ///
@@ -137,152 +107,16 @@ struct StartOutcome {
     params: Vec<f64>,
     cost: f64,
     evals: usize,
-    /// True when the start aborted on a non-finite cost or gradient.
-    poisoned: bool,
     /// Aborted attempts (non-finite or panicked) consumed by this start,
     /// including retries. The final outcome may still be clean.
     poisoned_attempts: usize,
-}
-
-/// Runs one Adam start from `x`, returning the first iterate that achieved
-/// the start's minimum cost (strict-improvement tracking, matching the
-/// global serial sweep).
-fn run_start<E: Evaluator>(
-    eval: &mut E,
-    mut x: Vec<f64>,
-    num_params: usize,
-    cfg: &OptimizerConfig,
-) -> StartOutcome {
-    let mut best_params = x.clone();
-    let mut best_cost = f64::INFINITY;
-    let mut evals = 0;
-    let mut g = vec![0.0; num_params];
-    let (mut m, mut v) = (vec![0.0; num_params], vec![0.0; num_params]);
-    let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
-    // Adaptive schedule: halve the step when progress stalls so the
-    // final approach to a minimum is not limited by a fixed step size.
-    let mut lr = cfg.learning_rate;
-    let mut start_best = f64::INFINITY;
-    let mut stall = 0usize;
-    let mut poisoned = false;
-    for iter in 1..=cfg.max_iters {
-        #[allow(unused_mut)]
-        let mut c = eval.eval(&x, &mut g);
-        evals += 1;
-        qfault::inject!("qsynth.cost", nan, c);
-        // A non-finite cost or gradient poisons every later Adam iterate;
-        // abort the start so the caller can redraw from a fresh seed.
-        if !c.is_finite() || g.iter().any(|v| !v.is_finite()) {
-            poisoned = true;
-            break;
-        }
-        if c < best_cost {
-            best_cost = c;
-            best_params.copy_from_slice(&x);
-        }
-        if c < start_best * (1.0 - 1e-3) {
-            start_best = c;
-            stall = 0;
-        } else {
-            stall += 1;
-            if stall >= 30 {
-                lr = (lr * 0.5).max(1e-5);
-                stall = 0;
-            }
-        }
-        if c <= cfg.target_cost {
-            break;
-        }
-        // Iteration counts stay far below i32::MAX; beyond ~10^3 the
-        // bias-correction factor is 1.0 to machine precision anyway.
-        #[allow(clippy::cast_possible_truncation)]
-        let t = iter as i32;
-        let b1t = 1.0 - b1.powi(t);
-        let b2t = 1.0 - b2.powi(t);
-        for i in 0..num_params {
-            m[i] = b1 * m[i] + (1.0 - b1) * g[i];
-            v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
-            let mhat = m[i] / b1t;
-            let vhat = v[i] / b2t;
-            x[i] -= lr * mhat / (vhat.sqrt() + eps);
-        }
-    }
-    StartOutcome {
-        params: best_params,
-        cost: best_cost,
-        evals,
-        poisoned,
-        poisoned_attempts: usize::from(poisoned),
-    }
-}
-
-/// Runs one start with panic isolation. A panicking evaluator (or an
-/// injected fault) yields `None` instead of tearing down the worker pool;
-/// its eval count is unknowable and charged as zero.
-fn attempt_start<E: Evaluator>(
-    eval: &mut E,
-    x: Vec<f64>,
-    num_params: usize,
-    cfg: &OptimizerConfig,
-) -> Option<StartOutcome> {
-    // Evaluator workspaces are plain numeric buffers fully rewritten by
-    // each eval, so reuse after an unwind cannot observe torn state.
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_start(eval, x, num_params, cfg)
-    }))
-    .ok()
-}
-
-/// Runs start `s` to a usable outcome: a poisoned or panicked attempt is
-/// retried up to [`MAX_POISON_RETRIES`] times from [`retry_point`]'s salted
-/// stream. Clean attempts take exactly the pre-existing code path, so runs
-/// that never poison stay bit-identical to an unguarded sweep.
-fn run_start_resilient<E: Evaluator>(
-    eval: &mut E,
-    s: usize,
-    num_params: usize,
-    warm_start: Option<&[f64]>,
-    cfg: &OptimizerConfig,
-) -> StartOutcome {
-    let mut evals = 0;
-    let mut poisoned_attempts = 0;
-    for attempt in 0..=MAX_POISON_RETRIES {
-        let x = if attempt == 0 {
-            initial_point(s, num_params, warm_start, cfg)
-        } else {
-            retry_point(s, attempt, num_params, cfg)
-        };
-        match attempt_start(eval, x, num_params, cfg) {
-            Some(out) if !out.poisoned => {
-                return StartOutcome {
-                    evals: evals + out.evals,
-                    poisoned_attempts,
-                    ..out
-                };
-            }
-            Some(out) => {
-                evals += out.evals;
-                poisoned_attempts += 1;
-            }
-            None => poisoned_attempts += 1,
-        }
-    }
-    // Every attempt poisoned: return an inert outcome that can never beat
-    // a finite start in the reduction.
-    StartOutcome {
-        params: vec![0.0; num_params],
-        cost: f64::INFINITY,
-        evals,
-        poisoned: true,
-        poisoned_attempts,
-    }
 }
 
 /// Builds start `s`'s initial point. All starts share one logical RNG
 /// stream seeded with `cfg.seed`: start `s` fast-forwards the stream past
 /// the draws earlier starts consumed (a warm first start consumes none),
 /// so the points are identical to a serial shared-RNG sweep regardless of
-/// which thread builds them.
+/// the order in which lanes pick starts up.
 fn initial_point(
     s: usize,
     num_params: usize,
@@ -313,7 +147,7 @@ fn initial_point(
 /// Builds the initial point for retry `attempt` of a poisoned start `s`:
 /// a fresh stream salted with the start index and retry ordinal, which a
 /// clean run never samples. Deterministic for a given `(seed, s, attempt)`
-/// and independent of thread scheduling.
+/// and independent of lane scheduling.
 fn retry_point(s: usize, attempt: usize, num_params: usize, cfg: &OptimizerConfig) -> Vec<f64> {
     use std::f64::consts::PI;
     let salt = 0x9E37_79B9_7F4A_7C15u64
@@ -323,121 +157,24 @@ fn retry_point(s: usize, attempt: usize, num_params: usize, cfg: &OptimizerConfi
     (0..num_params).map(|_| rng.random_range(-PI..PI)).collect()
 }
 
-/// Minimizes the evaluator produced by `make_eval` over `num_params` angles.
-///
-/// `make_eval` is called once per worker (each worker owns its evaluator's
-/// mutable state, e.g. a gradient workspace). The first start uses
-/// `warm_start` when provided (missing tail entries are zero-filled);
-/// remaining starts are random. Returns the best point across all starts —
-/// bit-identical whether the starts run serially or on a worker pool.
-pub fn minimize<E, F>(
-    make_eval: F,
-    num_params: usize,
-    warm_start: Option<&[f64]>,
-    cfg: &OptimizerConfig,
-) -> OptimizeOutcome
-where
-    E: Evaluator,
-    F: Fn() -> E + Sync,
-{
-    let width = if cfg.parallel {
-        std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(cfg.restarts.max(1))
-    } else {
-        1
-    };
-    minimize_with_width(make_eval, num_params, warm_start, cfg, width)
-}
-
-/// [`minimize`] with an explicit worker-pool width (`1` = fully serial).
-/// Exposed so the determinism contract is directly testable.
-pub fn minimize_with_width<E, F>(
-    make_eval: F,
-    num_params: usize,
-    warm_start: Option<&[f64]>,
-    cfg: &OptimizerConfig,
-    width: usize,
-) -> OptimizeOutcome
-where
-    E: Evaluator,
-    F: Fn() -> E + Sync,
-{
-    let nstarts = cfg.restarts.max(1);
-    let mut results: Vec<Option<StartOutcome>> = (0..nstarts).map(|_| None).collect();
-
-    if width <= 1 {
-        // Serial sweep keeps the early-stop: later starts never run once a
-        // start reaches the target cost.
-        let mut eval = make_eval();
-        for (s, slot) in results.iter_mut().enumerate() {
-            let out = run_start_resilient(&mut eval, s, num_params, warm_start, cfg);
-            let reached = out.cost <= cfg.target_cost;
-            *slot = Some(out);
-            if reached {
-                break;
-            }
-        }
-    } else {
-        let cells: Vec<OnceLock<StartOutcome>> = (0..nstarts).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        // A panic that escapes `run_start_resilient`'s own isolation (a bug
-        // in the queue itself, an injected fault in the spawn path) kills one
-        // worker; the survivors keep draining the queue. Degrade instead of
-        // panicking: starts whose cells were never set are counted as
-        // poisoned below and flow into the pipeline's degradation stats.
-        let scope_result = crossbeam::thread::scope(|scope| {
-            for _ in 0..width.min(nstarts) {
-                scope.spawn(|_| {
-                    let mut eval = make_eval();
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= nstarts {
-                            break;
-                        }
-                        let out = run_start_resilient(&mut eval, s, num_params, warm_start, cfg);
-                        let _ = cells[s].set(out);
-                    }
-                });
-            }
-        });
-        if scope_result.is_err() {
-            qobs::metrics::counter("qsynth.worker_panics", 1);
-        }
-        for (slot, cell) in results.iter_mut().zip(cells) {
-            *slot = cell.into_inner();
-        }
-    }
-
-    reduce_outcomes(&results, num_params, cfg)
-}
-
-/// Deterministic reduction shared by the threaded and batched front ends,
-/// equivalent to the serial sweep: only starts up to (and including) the
-/// first one that reached the target count — the serial loop would have
-/// stopped there — and ties on cost go to the earliest start.
+/// Deterministic reduction, equivalent to the serial sweep: only starts up
+/// to (and including) the first one that reached the target count — the
+/// serial loop would have stopped there — and ties on cost go to the
+/// earliest start. Every start before that point has finished; later
+/// slots may be empty.
 fn reduce_outcomes(
     results: &[Option<StartOutcome>],
     num_params: usize,
     cfg: &OptimizerConfig,
 ) -> OptimizeOutcome {
-    let mut best: Option<(usize, &StartOutcome)> = None;
+    let mut best: Option<&StartOutcome> = None;
     let mut evals = 0;
     let mut poisoned_starts = 0;
-    for (s, out) in results.iter().enumerate() {
-        let Some(out) = out.as_ref() else {
-            // A start that produced no outcome: either the serial sweep
-            // early-stopped before it (not degradation), or its worker died
-            // mid-run. Only the latter leaves a hole before the reduction's
-            // own stopping point, and it is counted as poisoned so the
-            // pipeline reports the run as degraded.
-            poisoned_starts += 1;
-            continue;
-        };
+    for out in results.iter().map_while(Option::as_ref) {
         evals += out.evals;
         poisoned_starts += out.poisoned_attempts;
-        if best.is_none_or(|(_, b)| out.cost < b.cost) {
-            best = Some((s, out));
+        if best.is_none_or(|b| out.cost < b.cost) {
+            best = Some(out);
         }
         if out.cost <= cfg.target_cost {
             break;
@@ -447,28 +184,21 @@ fn reduce_outcomes(
     // Instantiation cost: one metric per optimizer call would be noisy, so
     // only the aggregate gradient-evaluation count is published.
     qobs::metrics::counter("qsynth.instantiation_iters", evals as u64);
-    match best {
-        Some((_, best)) => OptimizeOutcome {
-            params: best.params.clone(),
-            cost: best.cost,
-            evals,
-            poisoned_starts,
-        },
-        // Every start was lost (all workers died before setting a cell):
-        // return an inert outcome — infinite cost so no caller ever selects
-        // it as an approximation — rather than panicking the pipeline.
-        None => OptimizeOutcome {
-            params: vec![0.0; num_params],
-            cost: f64::INFINITY,
-            evals,
-            poisoned_starts,
-        },
+    let (params, cost) = best.map_or_else(
+        || (vec![0.0; num_params], f64::INFINITY),
+        |b| (b.params.clone(), b.cost),
+    );
+    OptimizeOutcome {
+        params,
+        cost,
+        evals,
+        poisoned_starts,
     }
 }
 
-/// Adam state of one live lane in the batched engine. Every numeric field
-/// evolves through exactly the scalar operations [`run_start`] performs, so
-/// a lane's trajectory is bit-identical to the serial start it replaces.
+/// Adam state of one live lane. Every numeric field evolves through plain
+/// scalar operations on this lane's values only, so a lane's trajectory is
+/// bit-identical to the same start run alone.
 struct LaneState {
     /// Start index this lane is running.
     s: usize,
@@ -487,8 +217,8 @@ struct LaneState {
     /// Gradient evaluations consumed by the current attempt.
     attempt_evals: usize,
     /// Evaluations carried over from earlier poisoned attempts of this
-    /// start (a panicked attempt's count is unknowable and charged as zero,
-    /// matching [`attempt_start`]).
+    /// start (a panicked attempt's count is unknowable and charged as
+    /// zero).
     carried_evals: usize,
     poisoned_attempts: usize,
     /// Set when this step retired the lane (start finished or written off).
@@ -518,7 +248,7 @@ impl LaneState {
     }
 
     /// Restarts the lane on a fresh attempt point, resetting all Adam state
-    /// exactly as a new [`run_start`] call would.
+    /// to that of a new start.
     fn reset_attempt(&mut self, x: Vec<f64>, cfg: &OptimizerConfig) {
         self.iter = 1;
         self.best_params.copy_from_slice(&x);
@@ -539,7 +269,6 @@ impl LaneState {
             params: self.best_params.clone(),
             cost: self.best_cost,
             evals: self.carried_evals + self.attempt_evals,
-            poisoned: false,
             poisoned_attempts: self.poisoned_attempts,
         }
     }
@@ -550,7 +279,6 @@ impl LaneState {
             params: vec![0.0; num_params],
             cost: f64::INFINITY,
             evals: self.carried_evals,
-            poisoned: true,
             poisoned_attempts: self.poisoned_attempts,
         }
     }
@@ -566,10 +294,11 @@ enum LaneFate {
     Poisoned,
 }
 
-/// Advances one lane through exactly the per-iteration logic of
-/// [`run_start`]: poison check, best tracking, stall-based learning-rate
-/// halving, early stop, then the Adam update. `w` is the stride of the
-/// lane-major `grads` stack and `b` the column this lane reads.
+/// Advances one lane by one Adam iteration: poison check, best tracking
+/// (strict improvement, so the first iterate reaching the minimum wins),
+/// stall-based learning-rate halving, early stop, then the Adam update.
+/// `w` is the stride of the lane-major `grads` stack and `b` the column
+/// this lane reads.
 fn lane_step(
     lane: &mut LaneState,
     #[allow(unused_mut)] mut c: f64,
@@ -588,6 +317,8 @@ fn lane_step(
         lane.best_cost = c;
         lane.best_params.copy_from_slice(&lane.x);
     }
+    // Adaptive schedule: halve the step when progress stalls so the final
+    // approach to a minimum is not limited by a fixed step size.
     if c < lane.start_best * (1.0 - 1e-3) {
         lane.start_best = c;
         lane.stall = 0;
@@ -601,7 +332,8 @@ fn lane_step(
     if c <= cfg.target_cost || lane.iter == cfg.max_iters {
         return LaneFate::Finished;
     }
-    // Iteration counts stay far below i32::MAX (same bound as run_start).
+    // Iteration counts stay far below i32::MAX; beyond ~10^3 the
+    // bias-correction factor is 1.0 to machine precision anyway.
     #[allow(clippy::cast_possible_truncation)]
     let t = lane.iter as i32;
     let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
@@ -622,12 +354,16 @@ fn lane_step(
 /// Minimizes over `num_params` angles with all starts sharing batched SoA
 /// evaluations — the synthesis hot-loop entry point.
 ///
-/// `make_eval` receives the resolved batch width (`cfg.batch_width` clamped
-/// to [`MAX_BATCH`] and the start count) and builds the batch evaluator
-/// sized for it, e.g. `|w| cost_fn.batch_evaluator(w)`. Start scheduling,
-/// warm starts, poison retries, early stopping, and the reduction all
-/// follow [`minimize`]'s semantics exactly; the returned outcome is
-/// bit-identical to the serial sweep for any batch width.
+/// `make_eval` receives the batch width — the start count
+/// (`cfg.restarts`, at least 1) capped at [`MAX_BATCH`] — and builds the
+/// batch evaluator sized for it, e.g. `|w| cost_fn.batch_evaluator(w)`.
+/// The first start uses `warm_start` when provided (missing tail entries
+/// are zero-filled); the others are random. A start whose cost or gradient
+/// turns non-finite, or whose evaluation panics, is retried from a salted
+/// seed up to [`MAX_POISON_RETRIES`] times. Once a start reaches
+/// `cfg.target_cost`, later starts are neither run nor counted, exactly as
+/// a serial sweep would stop there. The returned outcome is bit-identical
+/// to that serial sweep for any batch width.
 pub fn minimize_batched<E, F>(
     make_eval: F,
     num_params: usize,
@@ -638,7 +374,7 @@ where
     E: BatchEvaluator,
     F: FnOnce(usize) -> E,
 {
-    let width = cfg.batch_width.clamp(1, MAX_BATCH).min(cfg.restarts.max(1));
+    let width = cfg.restarts.clamp(1, MAX_BATCH);
     let mut eval = make_eval(width);
     let width = width.min(eval.max_lanes()).max(1);
     minimize_batched_with_width(&mut eval, num_params, warm_start, cfg, width)
@@ -666,7 +402,7 @@ pub fn minimize_batched_with_width<E: BatchEvaluator>(
     let nstarts = cfg.restarts.max(1);
     let mut results: Vec<Option<StartOutcome>> = (0..nstarts).map(|_| None).collect();
 
-    // Degenerate budget: run_start never evaluates, so every start yields
+    // Degenerate budget: no start ever evaluates, so every start yields
     // its initial point with an infinite best cost and zero evals.
     if cfg.max_iters == 0 {
         for (s, slot) in results.iter_mut().enumerate() {
@@ -674,7 +410,6 @@ pub fn minimize_batched_with_width<E: BatchEvaluator>(
                 params: initial_point(s, num_params, warm_start, cfg),
                 cost: f64::INFINITY,
                 evals: 0,
-                poisoned: false,
                 poisoned_attempts: 0,
             });
         }
@@ -781,6 +516,59 @@ pub fn minimize_batched_with_width<E: BatchEvaluator>(
 mod tests {
     use super::*;
 
+    /// Adapts a single-point cost-and-gradient closure to the lane-major
+    /// batch interface by evaluating the lanes one after another.
+    struct Lanes<F>(F);
+
+    impl<F: FnMut(&[f64], &mut [f64]) -> f64> BatchEvaluator for Lanes<F> {
+        fn max_lanes(&self) -> usize {
+            MAX_BATCH
+        }
+
+        fn eval_lanes(&mut self, lanes: usize, xs: &[f64], costs: &mut [f64], grads: &mut [f64]) {
+            let n = xs.len() / lanes;
+            let (mut x, mut g) = (vec![0.0; n], vec![0.0; n]);
+            for b in 0..lanes {
+                for p in 0..n {
+                    x[p] = xs[p * lanes + b];
+                }
+                costs[b] = (self.0)(&x, &mut g);
+                for p in 0..n {
+                    grads[p * lanes + b] = g[p];
+                }
+            }
+        }
+    }
+
+    fn minimize<F: FnMut(&[f64], &mut [f64]) -> f64>(
+        f: F,
+        num_params: usize,
+        warm_start: Option<&[f64]>,
+        cfg: &OptimizerConfig,
+    ) -> OptimizeOutcome {
+        minimize_batched(|_| Lanes(f), num_params, warm_start, cfg)
+    }
+
+    fn at_width<F: FnMut(&[f64], &mut [f64]) -> f64>(
+        f: F,
+        num_params: usize,
+        warm_start: Option<&[f64]>,
+        cfg: &OptimizerConfig,
+        width: usize,
+    ) -> OptimizeOutcome {
+        minimize_batched_with_width(&mut Lanes(f), num_params, warm_start, cfg, width)
+    }
+
+    fn config(max_iters: usize, restarts: usize, target_cost: f64, seed: u64) -> OptimizerConfig {
+        OptimizerConfig {
+            max_iters,
+            restarts,
+            target_cost,
+            seed,
+            ..OptimizerConfig::default()
+        }
+    }
+
     /// Simple convex bowl with minimum at (1, −2, 3).
     fn bowl(x: &[f64], g: &mut [f64]) -> f64 {
         let target = [1.0, -2.0, 3.0];
@@ -793,18 +581,20 @@ mod tests {
         c
     }
 
+    /// Rastrigin-like landscape with many local minima; global at 0.
+    fn nasty(x: &[f64], g: &mut [f64]) -> f64 {
+        let mut c = 0.0;
+        for i in 0..x.len() {
+            let v = x[i];
+            g[i] = 2.0 * v + 6.0 * (2.0 * v).sin();
+            c += v * v + 3.0 * (1.0 - (2.0 * v).cos());
+        }
+        c
+    }
+
     #[test]
     fn minimizes_quadratic_bowl() {
-        let cfg = OptimizerConfig {
-            max_iters: 2000,
-            learning_rate: 0.05,
-            restarts: 1,
-            target_cost: 1e-12,
-            seed: 1,
-            parallel: true,
-            batch_width: qmath::kernels::MAX_BATCH,
-        };
-        let out = minimize(|| bowl, 3, None, &cfg);
+        let out = minimize(bowl, 3, None, &config(2000, 1, 1e-12, 1));
         assert!(out.cost < 1e-6, "cost {}", out.cost);
         assert!((out.params[0] - 1.0).abs() < 1e-3);
         assert!((out.params[1] + 2.0).abs() < 1e-3);
@@ -813,87 +603,43 @@ mod tests {
 
     #[test]
     fn warm_start_speeds_convergence() {
-        let cfg = OptimizerConfig {
-            max_iters: 20,
-            learning_rate: 0.05,
-            restarts: 1,
-            target_cost: 1e-12,
-            seed: 2,
-            parallel: true,
-            batch_width: qmath::kernels::MAX_BATCH,
-        };
-        let cold = minimize(|| bowl, 3, None, &cfg);
-        let warm = minimize(|| bowl, 3, Some(&[1.0, -2.0, 3.0]), &cfg);
+        let cfg = config(20, 1, 1e-12, 2);
+        let cold = minimize(bowl, 3, None, &cfg);
+        let warm = minimize(bowl, 3, Some(&[1.0, -2.0, 3.0]), &cfg);
         assert!(warm.cost < cold.cost);
         assert!(warm.cost < 1e-10);
     }
 
     #[test]
     fn restarts_escape_bad_basins() {
-        // Rastrigin-ish 1D with many local minima; global at 0.
-        let nasty = |x: &[f64], g: &mut [f64]| {
-            let v = x[0];
-            g[0] = 2.0 * v + 6.0 * (2.0 * v).sin();
-            v * v + 3.0 * (1.0 - (2.0 * v).cos())
-        };
         let cfg = OptimizerConfig {
-            max_iters: 500,
             learning_rate: 0.03,
-            restarts: 8,
-            target_cost: 1e-10,
-            seed: 3,
-            parallel: true,
-            batch_width: qmath::kernels::MAX_BATCH,
+            ..config(500, 8, 1e-10, 3)
         };
-        let out = minimize(|| nasty, 1, Some(&[2.9]), &cfg);
+        let out = minimize(nasty, 1, Some(&[2.9]), &cfg);
         assert!(out.cost < 0.5, "stuck at {}", out.cost);
     }
 
     #[test]
     fn early_stop_respects_target() {
-        let cfg = OptimizerConfig {
-            max_iters: 100_000,
-            learning_rate: 0.05,
-            restarts: 1,
-            target_cost: 1e-3,
-            seed: 4,
-            parallel: true,
-            batch_width: qmath::kernels::MAX_BATCH,
-        };
-        let out = minimize(|| bowl, 3, None, &cfg);
+        let out = minimize(bowl, 3, None, &config(100_000, 1, 1e-3, 4));
         assert!(out.cost <= 1e-3);
         assert!(out.evals < 100_000, "should stop early, used {}", out.evals);
     }
 
     #[test]
-    fn parallel_starts_match_serial_bitwise() {
-        // The determinism contract: any pool width returns bit-identical
-        // params, cost, and eval count to the width-1 serial sweep.
-        let nasty = |x: &[f64], g: &mut [f64]| {
-            let mut c = 0.0;
-            for i in 0..x.len() {
-                let v = x[i];
-                g[i] = 2.0 * v + 6.0 * (2.0 * v).sin();
-                c += v * v + 3.0 * (1.0 - (2.0 * v).cos());
-            }
-            c
-        };
+    fn every_width_matches_width_one_bitwise() {
         for warm in [None, Some([2.9, -1.4, 0.3].as_slice())] {
             let cfg = OptimizerConfig {
-                max_iters: 200,
                 learning_rate: 0.03,
-                restarts: 5,
-                target_cost: 1e-10,
-                seed: 7,
-                parallel: true,
-                batch_width: qmath::kernels::MAX_BATCH,
+                ..config(200, 5, 1e-10, 7)
             };
-            let serial = minimize_with_width(|| nasty, 3, warm, &cfg, 1);
+            let one = at_width(nasty, 3, warm, &cfg, 1);
             for width in [2, 4, 8] {
-                let par = minimize_with_width(|| nasty, 3, warm, &cfg, width);
-                assert_eq!(par.cost.to_bits(), serial.cost.to_bits(), "width {width}");
-                assert_eq!(par.params, serial.params, "width {width}");
-                assert_eq!(par.evals, serial.evals, "width {width}");
+                let got = at_width(nasty, 3, warm, &cfg, width);
+                assert_eq!(got.cost.to_bits(), one.cost.to_bits(), "width {width}");
+                assert_eq!(got.params, one.params, "width {width}");
+                assert_eq!(got.evals, one.evals, "width {width}");
             }
         }
     }
@@ -902,59 +648,36 @@ mod tests {
     fn nan_cost_start_recovers_from_salted_seed() {
         // First evaluation of the run poisons; the retry draws from the
         // salted stream and must still converge to a finite optimum.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
-        let cfg = OptimizerConfig {
-            max_iters: 2000,
-            learning_rate: 0.05,
-            restarts: 1,
-            target_cost: 1e-12,
-            seed: 5,
-            parallel: false,
-            batch_width: qmath::kernels::MAX_BATCH,
-        };
+        let mut calls = 0;
         let out = minimize(
-            || {
-                |x: &[f64], g: &mut [f64]| {
-                    if calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                        g.fill(0.0);
-                        return f64::NAN;
-                    }
-                    bowl(x, g)
+            |x: &[f64], g: &mut [f64]| {
+                calls += 1;
+                if calls == 1 {
+                    g.fill(0.0);
+                    return f64::NAN;
                 }
+                bowl(x, g)
             },
             3,
             None,
-            &cfg,
+            &config(2000, 1, 1e-12, 5),
         );
         assert_eq!(out.poisoned_starts, 1);
-        assert!(out.cost.is_finite());
         assert!(out.cost < 1e-6, "cost {}", out.cost);
     }
 
     #[test]
     fn panicking_start_recovers() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
-        let cfg = OptimizerConfig {
-            max_iters: 2000,
-            learning_rate: 0.05,
-            restarts: 1,
-            target_cost: 1e-12,
-            seed: 6,
-            parallel: false,
-            batch_width: qmath::kernels::MAX_BATCH,
-        };
+        let mut calls = 0;
         let out = minimize(
-            || {
-                |x: &[f64], g: &mut [f64]| {
-                    assert!(calls.fetch_add(1, Ordering::Relaxed) > 0, "injected panic");
-                    bowl(x, g)
-                }
+            |x: &[f64], g: &mut [f64]| {
+                calls += 1;
+                assert!(calls > 1, "injected panic");
+                bowl(x, g)
             },
             3,
             None,
-            &cfg,
+            &config(2000, 1, 1e-12, 6),
         );
         assert_eq!(out.poisoned_starts, 1);
         assert!(out.cost < 1e-6, "cost {}", out.cost);
@@ -962,25 +685,14 @@ mod tests {
 
     #[test]
     fn fully_poisoned_run_returns_inert_outcome() {
-        let cfg = OptimizerConfig {
-            max_iters: 50,
-            learning_rate: 0.05,
-            restarts: 2,
-            target_cost: 1e-12,
-            seed: 8,
-            parallel: false,
-            batch_width: qmath::kernels::MAX_BATCH,
-        };
         let out = minimize(
-            || {
-                |_: &[f64], g: &mut [f64]| {
-                    g.fill(0.0);
-                    f64::NAN
-                }
+            |_: &[f64], g: &mut [f64]| {
+                g.fill(0.0);
+                f64::NAN
             },
             3,
             None,
-            &cfg,
+            &config(50, 2, 1e-12, 8),
         );
         assert!(out.cost.is_infinite());
         assert_eq!(out.poisoned_starts, 2 * (MAX_POISON_RETRIES + 1));
@@ -989,39 +701,23 @@ mod tests {
     #[test]
     fn clean_runs_unaffected_by_guards() {
         // poisoned_starts is zero and results match on repeat runs.
-        let cfg = OptimizerConfig {
-            max_iters: 300,
-            learning_rate: 0.05,
-            restarts: 3,
-            target_cost: 1e-14,
-            seed: 9,
-            parallel: true,
-            batch_width: qmath::kernels::MAX_BATCH,
-        };
-        let a = minimize(|| bowl, 3, None, &cfg);
-        let b = minimize(|| bowl, 3, None, &cfg);
+        let cfg = config(300, 3, 1e-14, 9);
+        let a = minimize(bowl, 3, None, &cfg);
+        let b = minimize(bowl, 3, None, &cfg);
         assert_eq!(a.poisoned_starts, 0);
         assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         assert_eq!(a.params, b.params);
     }
 
     #[test]
-    fn serial_early_stop_and_parallel_account_same_evals() {
-        // A start that hits the target stops the serial sweep; the parallel
-        // reduction must charge exactly the same starts.
-        let cfg = OptimizerConfig {
-            max_iters: 5000,
-            learning_rate: 0.05,
-            restarts: 4,
-            target_cost: 1e-9,
-            seed: 11,
-            parallel: true,
-            batch_width: qmath::kernels::MAX_BATCH,
-        };
-        let serial = minimize_with_width(|| bowl, 3, None, &cfg, 1);
-        let par = minimize_with_width(|| bowl, 3, None, &cfg, 4);
-        assert!(serial.cost <= cfg.target_cost);
-        assert_eq!(par.evals, serial.evals);
-        assert_eq!(par.params, serial.params);
+    fn early_stop_charges_the_same_evals_at_every_width() {
+        // A start that hits the target ends the serial sweep; wider
+        // batches must charge exactly the same starts.
+        let cfg = config(5000, 4, 1e-9, 11);
+        let one = at_width(bowl, 3, None, &cfg, 1);
+        let four = at_width(bowl, 3, None, &cfg, 4);
+        assert!(one.cost <= cfg.target_cost);
+        assert_eq!(four.evals, one.evals);
+        assert_eq!(four.params, one.params);
     }
 }

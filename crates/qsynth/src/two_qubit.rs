@@ -55,7 +55,6 @@ pub fn synthesize_two_qubit(target: &Matrix, epsilon: f64, seed: u64) -> Option<
             restarts: 2 + cnots,
             target_cost,
             seed: seed.wrapping_add(cnots as u64),
-            ..OptimizerConfig::default()
         };
         let out = minimize_batched(
             |w| cost_fn.batch_evaluator(w),

@@ -1,8 +1,8 @@
 //! Model checks of the bounded work-queue / `OnceLock` publication handoff
-//! that `qsynth::optimize::minimize_with_width` and the LEAP frontier
-//! expansion share: workers claim job indices from an atomic counter and
-//! publish results into per-job cells; a placement-ordered walk of the
-//! cells then reduces deterministically.
+//! in `qsynth::pool::run_indexed`, the one queue behind LEAP frontier
+//! expansion and the pipeline's block pool: workers claim job indices from
+//! an atomic counter and publish results into per-job cells; a job-ordered
+//! walk of the cells then reduces deterministically.
 //!
 //! The models are written against the `loom` API (`loom::model`,
 //! `loom::thread`, `loom::sync`), so they run unmodified under the real
@@ -16,8 +16,8 @@
 //! 2. the reduction over cells is independent of worker count and
 //!    completion order,
 //! 3. a worker dying mid-job loses only its own claimed job — survivors
-//!    drain the queue and the hole is detectable (the degradation path
-//!    added to `minimize_with_width`).
+//!    drain the queue and the hole is detectable (the `None` slot callers
+//!    degrade or retry).
 
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::{Arc, OnceLock};

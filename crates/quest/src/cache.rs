@@ -470,8 +470,8 @@ pub(crate) fn block_key(body: &Circuit, config: &QuestConfig) -> u64 {
 /// with equal fingerprints are guaranteed — by the pipeline's determinism
 /// contract — to produce bit-identical [`crate::QuestResult`]s, so the
 /// daemon runs one compilation and hands both clients the same report.
-/// Execution-only knobs (`parallel`, `parallel_width`) are excluded: width
-/// never changes artifacts.
+/// The execution-only knob `parallel_width` is excluded: width never
+/// changes artifacts.
 pub fn request_fingerprint(circuit: &Circuit, config: &QuestConfig) -> u64 {
     let mut h = DefaultHasher::new();
     circuit.num_qubits().hash(&mut h);
@@ -516,9 +516,8 @@ fn unitary_hash(u: &Matrix) -> u64 {
 
 /// Fingerprints every configuration knob that shapes a block's menu —
 /// including the master seed, which `block_key` deliberately leaves out —
-/// while excluding pure execution knobs (`parallel`, `parallel_width`,
-/// `batch_width`), whose settings are bit-identical by the determinism
-/// contract. The build's [`qmath::NUMERICS_MODE`] *is* hashed: strict and
+/// while excluding the pure execution knob `parallel_width`, whose every
+/// setting is bit-identical by the determinism contract. The build's [`qmath::NUMERICS_MODE`] *is* hashed: strict and
 /// `simd-relaxed` builds round differently, so their menus must not share
 /// cache entries.
 ///

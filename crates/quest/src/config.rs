@@ -52,24 +52,16 @@ pub struct QuestConfig {
     pub anneal: AnnealConfig,
     /// Selection strategy (QUEST vs. ablations).
     pub selection: SelectionStrategy,
-    /// Synthesize blocks on parallel threads (the paper runs blocks on up to
-    /// ten cluster nodes).
-    pub parallel: bool,
-    /// Total worker-thread budget for the synthesis stage. `None` uses
-    /// [`std::thread::available_parallelism`]. The budget is split between
-    /// the block-level pool and the per-block LEAP frontier (block workers ×
-    /// frontier workers ≤ budget, so nested parallelism never oversubscribes)
-    /// and the resolved product is reported as the `quest.parallel_width`
-    /// metric. Results are bit-identical for every budget.
+    /// Total worker-thread budget for the synthesis stage (the paper runs
+    /// blocks on up to ten cluster nodes). `None` uses
+    /// [`std::thread::available_parallelism`]; `Some(1)` is fully serial.
+    /// The budget is split between the block-level pool and the per-block
+    /// LEAP frontier (block workers × frontier workers ≤ budget, so nested
+    /// parallelism never oversubscribes) and the resolved product is
+    /// reported as the `quest.parallel_width` metric. Results are
+    /// bit-identical for every budget, so it is excluded from the cache
+    /// key/fingerprint.
     pub parallel_width: Option<usize>,
-    /// SoA batch width for the per-block optimizer's multi-start hot loop:
-    /// how many Adam starts evaluate cost+gradient per template traversal
-    /// (see [`qsynth::optimize::OptimizerConfig::batch_width`]). `None`
-    /// uses the kernel maximum ([`qmath::kernels::MAX_BATCH`]). Like
-    /// `parallel`/`parallel_width` this is a pure execution knob — results
-    /// are bit-identical at every width — so it is deliberately excluded
-    /// from the cache key/fingerprint.
-    pub batch_width: Option<usize>,
     /// Master seed.
     pub seed: u64,
     /// Per-block synthesis wall-clock deadline. A block whose search hits
@@ -107,9 +99,7 @@ impl Default for QuestConfig {
                 ..AnnealConfig::default()
             },
             selection: SelectionStrategy::Dissimilar,
-            parallel: true,
             parallel_width: None,
-            batch_width: None,
             seed: 0xBA5E,
             block_deadline: None,
             max_gradient_evals: None,

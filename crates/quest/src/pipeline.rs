@@ -454,16 +454,13 @@ impl Quest {
         // parallelism never oversubscribes the machine. On our saturating
         // workloads (2 blocks on an 8-way machine) this is what turns the
         // idle 6 cores into intra-search speedup.
-        let budget = if self.config.parallel {
-            self.config
-                .parallel_width
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-                })
-                .max(1)
-        } else {
-            1
-        };
+        let budget = self
+            .config
+            .parallel_width
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+            })
+            .max(1);
         let block_workers = budget.clamp(1, blocks.len().max(1));
         let frontier_width = (budget / block_workers).max(1);
         // The width actually resolved at synthesis time — block workers ×
@@ -472,16 +469,6 @@ impl Quest {
         // circuits.
         let resolved_width = block_workers * frontier_width;
         qobs::metrics::gauge("quest.parallel_width", resolved_width as f64);
-        // SoA lanes per optimizer evaluation inside each block's search —
-        // an execution knob (bit-identical results at every width), so it
-        // shapes throughput but never the cache key.
-        let batch_width = self
-            .config
-            .batch_width
-            .unwrap_or(qmath::kernels::MAX_BATCH)
-            .clamp(1, qmath::kernels::MAX_BATCH);
-        #[allow(clippy::cast_precision_loss)]
-        qobs::metrics::gauge("qsynth.batch_width", batch_width as f64);
 
         // Optimizer start attempts redrawn after non-finite costs or panics,
         // summed over every *fresh* synthesis run (cache hits reuse the menu
@@ -498,7 +485,6 @@ impl Quest {
             cfg.epsilon = self.config.epsilon_per_block;
             cfg.max_cnots = Some(original_cnots.min(self.config.max_synthesis_cnots).max(1));
             cfg.parallel_width = Some(frontier_width);
-            cfg.optimizer.batch_width = batch_width;
             cfg.deadline = self.config.block_deadline;
             cfg.max_gradient_evals = self.config.max_gradient_evals;
             cfg = cfg.with_seed(self.config.seed ^ seed_mix.wrapping_mul(0x9E37));
@@ -582,57 +568,16 @@ impl Quest {
         };
 
         // Fan-out is bounded: the block pool never exceeds the budget or
-        // the block count. The old one-thread-per-block policy spawned
-        // unbounded threads on large circuits, oversubscribing the machine
-        // exactly when synthesis was most expensive.
-        let mut out: Vec<Option<SynthesizedBlock>> = (0..blocks.len()).map(|_| None).collect();
-        if block_workers > 1 {
-            let next = AtomicUsize::new(0);
-            let scope_result = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..block_workers)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            // Chunked work queue: workers pull the next
-                            // unclaimed block index until the queue drains.
-                            let mut done: Vec<(usize, Option<SynthesizedBlock>)> = Vec::new();
-                            loop {
-                                // A cancelled job stops claiming new blocks;
-                                // the in-flight ones finish and are thrown
-                                // away by `compile_inner`'s post-stage check.
-                                if observer.cancelled() {
-                                    break;
-                                }
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(block) = blocks.get(i) else { break };
-                                done.push((i, safe_synth(i, block)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // A worker that somehow died outside the per-block
-                    // isolation just leaves its claimed slots empty for the
-                    // recovery pass — no panic propagation.
-                    if let Ok(done) = h.join() {
-                        for (i, sb) in done {
-                            out[i] = sb;
-                        }
-                    }
-                }
-            });
-            if scope_result.is_err() {
-                // Unjoined-thread panic: unfilled slots are recovered below.
-                qobs::event!("quest.synthesis_scope_panicked");
-            }
-        } else {
-            for (i, b) in blocks.iter().enumerate() {
-                if observer.cancelled() {
-                    break;
-                }
-                out[i] = safe_synth(i, b);
-            }
-        }
+        // the block count. A cancelled job stops claiming new blocks; the
+        // in-flight ones finish and are thrown away by `compile_inner`'s
+        // post-stage check. A slot left empty — cancelled, or its worker
+        // died outside the per-block isolation — goes to the recovery pass.
+        let out = qsynth::pool::run_indexed(
+            blocks.len(),
+            block_workers,
+            || observer.cancelled(),
+            |i| safe_synth(i, &blocks[i]),
+        );
 
         // Recovery pass: each dead block gets one serial retry (synthesis is
         // deterministic, so a transient-fault retry reproduces the menu
@@ -644,7 +589,7 @@ impl Quest {
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
-                if let Some(sb) = slot {
+                if let Some(sb) = slot.flatten() {
                     return sb;
                 }
                 let block = &blocks[i];

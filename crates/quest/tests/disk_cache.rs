@@ -234,12 +234,11 @@ fn resolved_parallel_width_is_reported() {
     // soak up the rest of the budget so the resolved width still reports
     // the full budget, not the block-pool clamp.
     let mut cfg = QuestConfig::fast().with_seed(41);
-    cfg.parallel = true;
     cfg.parallel_width = Some(4);
     let wide = Quest::new(cfg.clone()).compile(&circuit);
     assert_eq!(wide.parallel_width, 4);
 
-    cfg.parallel = false;
+    cfg.parallel_width = Some(1);
     let serial = Quest::new(cfg).compile(&circuit);
     assert_eq!(serial.parallel_width, 1);
     assert_bit_identical(&wide, &serial);

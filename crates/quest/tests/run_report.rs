@@ -4,7 +4,23 @@
 
 use qcircuit::Circuit;
 use quest::report::{RunReport, RUN_REPORT_SCHEMA_VERSION};
-use quest::{Quest, QuestConfig};
+use quest::{Quest, QuestConfig, QuestResult};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the compiles of this test binary. Metrics are process-global,
+/// so a compile running on another test thread while
+/// `block_cnot_metrics_agree_with_qlint_accounting` holds its session would
+/// add its own block counters to that session's totals. A test that opens a
+/// metrics session takes this lock first.
+fn compile_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn compile(quest: &Quest, circuit: &Circuit) -> QuestResult {
+    let _alone = compile_lock();
+    quest.compile(circuit)
+}
 
 /// A CNOT-heavy circuit with enough redundancy that approximations exist.
 fn fixture_circuit() -> Circuit {
@@ -21,7 +37,7 @@ fn fixture_circuit() -> Circuit {
 fn run_report_fields_are_populated() {
     let circuit = fixture_circuit();
     let quest = Quest::new(QuestConfig::fast().with_seed(17));
-    let result = quest.compile(&circuit);
+    let result = compile(&quest, &circuit);
     let report = RunReport::new(&quest, &circuit, &result);
 
     assert_eq!(report.schema_version, RUN_REPORT_SCHEMA_VERSION);
@@ -68,10 +84,11 @@ fn run_report_fields_are_populated() {
 fn run_report_json_roundtrip_is_stable() {
     let circuit = fixture_circuit();
     let quest = Quest::new(QuestConfig::fast().with_seed(23));
-    let result = quest.compile(&circuit);
+    let result = compile(&quest, &circuit);
 
     // Attach a real metrics snapshot so the roundtrip covers that arm too.
     let report = {
+        let _alone = compile_lock();
         let session = qobs::metrics::session();
         let result2 = quest.compile(&circuit);
         RunReport::new(&quest, &circuit, &result2).with_metrics(&session.snapshot())
@@ -99,7 +116,7 @@ fn run_report_json_roundtrip_is_stable() {
 fn run_report_from_json_accepts_schema_v1() {
     let circuit = fixture_circuit();
     let quest = Quest::new(QuestConfig::fast().with_seed(29));
-    let result = quest.compile(&circuit);
+    let result = compile(&quest, &circuit);
     let report = RunReport::new(&quest, &circuit, &result);
 
     // Rewrite the serialized form into a schema-v1 document: version 1 and
@@ -142,10 +159,12 @@ fn block_cnot_metrics_agree_with_qlint_accounting() {
     let circuit = fixture_circuit();
     let quest = Quest::new(QuestConfig::fast().with_seed(31));
 
+    let alone = compile_lock();
     let session = qobs::metrics::session();
     let result = quest.compile(&circuit);
     let snapshot = session.snapshot();
     drop(session);
+    drop(alone);
 
     // The scan partition covers every instruction exactly once, so the sum
     // of per-block CNOT counters must equal the whole circuit's CNOT count.
