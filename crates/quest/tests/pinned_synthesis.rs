@@ -1,7 +1,9 @@
 //! Synthesis pinned by value: one small fixed circuit compiled with the
 //! fast preset, a fixed seed and no cache must reproduce recorded gradient
-//! evaluation counts, per-block menus (sizes and distance bits) and the
-//! selected sample indices — at every thread budget.
+//! evaluation counts, per-block menus (sizes and distance bits), the
+//! selected sample indices and the annealer's selection statistics — at
+//! every thread budget, and again when the menus are served from a disk
+//! cache filled by an earlier compile.
 //!
 //! The other determinism tests compare two runs of the *current* code with
 //! each other; this one compares against constants, so a refactor of the
@@ -13,7 +15,7 @@
 //! `simd-relaxed` build rounds differently (DESIGN.md §4j), so there the
 //! test only checks that every thread budget reproduces the width-1 run.
 
-use quest::{Quest, QuestConfig, QuestResult};
+use quest::{BlockCache, DiskCacheConfig, Quest, QuestConfig, QuestResult};
 
 const SEED: u64 = 0x5EED;
 
@@ -59,6 +61,10 @@ const SELECTED: &[&[usize]] = &[
     &[3, 0, 0, 0, 0, 1],
 ];
 
+/// Selection statistics summed over every selection round: annealing
+/// runs, objective evaluations, accepted moves and restarts.
+const ANNEAL: [usize; 4] = [9, 7_200, 6_738, 0];
+
 /// The pinned quantities of one compile.
 #[derive(Debug, PartialEq)]
 struct Pinned {
@@ -66,12 +72,35 @@ struct Pinned {
     sizes: Vec<usize>,
     bits: Vec<Vec<u64>>,
     selected: Vec<Vec<usize>>,
+    anneal: [usize; 4],
+}
+
+fn recorded() -> Pinned {
+    Pinned {
+        evals: EVALS,
+        sizes: MENU_SIZES.to_vec(),
+        bits: DISTANCE_BITS.iter().map(|b| b.to_vec()).collect(),
+        selected: SELECTED.iter().map(|s| s.to_vec()).collect(),
+        anneal: ANNEAL,
+    }
+}
+
+fn quest(parallel_width: usize) -> Quest {
+    let mut cfg = QuestConfig::fast().with_seed(SEED);
+    cfg.parallel_width = Some(parallel_width);
+    Quest::new(cfg)
+}
+
+fn circuit() -> qcircuit::Circuit {
+    qbench::spin::tfim(4, 2, 0.1)
 }
 
 fn compile(parallel_width: usize) -> Pinned {
-    let mut cfg = QuestConfig::fast().with_seed(SEED);
-    cfg.parallel_width = Some(parallel_width);
-    let r: QuestResult = Quest::new(cfg).compile(&qbench::spin::tfim(4, 2, 0.1));
+    pinned(&quest(parallel_width).compile(&circuit()))
+}
+
+fn pinned(r: &QuestResult) -> Pinned {
+    let a = &r.selection_stats;
     Pinned {
         evals: r.blocks.iter().map(|b| b.synthesis_evals).sum(),
         sizes: r.blocks.iter().map(|b| b.approximations.len()).collect(),
@@ -86,20 +115,37 @@ fn compile(parallel_width: usize) -> Pinned {
             })
             .collect(),
         selected: r.samples.iter().map(|s| s.indices.clone()).collect(),
+        anneal: [a.anneal_runs, a.evals, a.accepted, a.restarts],
     }
 }
 
 #[test]
 fn synthesis_matches_recorded_values_at_every_width() {
-    let recorded = Pinned {
-        evals: EVALS,
-        sizes: MENU_SIZES.to_vec(),
-        bits: DISTANCE_BITS.iter().map(|b| b.to_vec()).collect(),
-        selected: SELECTED.iter().map(|s| s.to_vec()).collect(),
-    };
     let serial = compile(1);
     if cfg!(not(feature = "simd-relaxed")) {
-        assert_eq!(serial, recorded, "width 1");
+        assert_eq!(serial, recorded(), "width 1");
     }
     assert_eq!(compile(2), serial, "width 2");
+}
+
+#[test]
+fn warm_recompile_from_disk_matches_recorded_values() {
+    let dir = std::env::temp_dir().join(format!("quest_pinned_warm_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || BlockCache::with_disk(DiskCacheConfig::new(&dir)).expect("cache dir creates");
+    let cold = pinned(&quest(2).compile_with_cache(&circuit(), &open()));
+
+    // A fresh cache over the filled directory: an empty memory tier, so
+    // every menu comes from a validated disk entry.
+    let warm_cache = open();
+    let warm = quest(2).compile_with_cache(&circuit(), &warm_cache);
+    assert!(warm.cache.disk_hits > 0, "{:?}", warm.cache);
+    assert_eq!(warm.cache.disk_misses, 0, "{:?}", warm.cache);
+    assert_eq!(warm.cache.validation_failures, 0, "{:?}", warm.cache);
+    let warm = pinned(&warm);
+    let _ = std::fs::remove_dir_all(&dir);
+    if cfg!(not(feature = "simd-relaxed")) {
+        assert_eq!(warm, recorded(), "warm");
+    }
+    assert_eq!(warm, cold, "warm against cold");
 }
