@@ -15,6 +15,28 @@
 //! `[0, 1)^d` is decoded to indices by scaling (matching how the paper's
 //! code hands integer choices to SciPy).
 //!
+//! # Cost of one move
+//!
+//! QUEST spends thousands of moves per selection round, so the engine keeps
+//! a move cheap without changing what it computes:
+//!
+//! * The visiting distribution's `q_v`-only factors (`factor2`…`factor6`,
+//!   `ln_gamma` among them, and the exponent `−(q_v−1)/(3−q_v)`) are
+//!   computed once per run, and `t^{−(q_v−1)/(3−q_v)}` once per
+//!   temperature step. Each draw still forms `sigmax` as the product of
+//!   the same two values, and no random draw is added, dropped or moved,
+//!   so every step is bit-identical to recomputing everything per draw.
+//! * One candidate buffer is reused for the whole run (copied into per
+//!   move, swapped in on accept), and [`minimize_discrete`] decodes into a
+//!   reused index buffer.
+//! * A flat move (`Δ = 0`) is accepted with probability exactly 1; it
+//!   consumes its uniform draw without evaluating `ln`/`exp`.
+//! * A move that decodes to the indices evaluated last reuses their value
+//!   instead of calling the objective; it still counts as an evaluation.
+//!
+//! A frozen copy of the per-draw form lives in `tests/engine_oracle.rs`,
+//! and property tests require equal points, value bits and counters.
+//!
 //! ```
 //! use qanneal::{minimize_discrete, AnnealConfig};
 //!
@@ -31,7 +53,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::time::{Duration, Instant};
 
 /// Configuration of the annealer.
@@ -114,7 +136,9 @@ impl AnnealOutcome {
 /// Minimizes `f` over the integer lattice `{0..arity[0]} × … ×
 /// {0..arity[d−1]}`.
 ///
-/// Deterministic for a fixed config.
+/// Deterministic for a fixed config. `f` must be a pure function of the
+/// index vector: a move that decodes to the point evaluated last reuses
+/// that point's value instead of calling `f` again.
 ///
 /// # Panics
 ///
@@ -129,29 +153,57 @@ pub fn minimize_discrete(
         arity.iter().all(|&a| a > 0),
         "every dimension needs choices"
     );
-    let decode = |x: &[f64]| -> Vec<usize> {
-        x.iter()
-            .zip(arity)
-            // xi ∈ [0, 1] and arities are small menu sizes, so the float→index
-            // cast is in-range; truncation toward zero is the intended floor.
-            .map(|(&xi, &a)| {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let idx = (xi * a as f64) as usize;
-                idx.min(a - 1)
-            })
-            .collect()
+    let decode = |x: &[f64], idx: &mut Vec<usize>| {
+        idx.clear();
+        // xi ∈ [0, 1] and arities are small menu sizes, so the float→index
+        // cast is in-range; truncation toward zero is the intended floor.
+        idx.extend(x.iter().zip(arity).map(|(&xi, &a)| {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            let i = (xi * a as f64) as usize;
+            i.min(a - 1)
+        }));
+    };
+    // Most moves on a small lattice decode to the point just evaluated
+    // (a sub-cell step, or a single-dimension move on a 1-choice axis).
+    // `f` is a pure function of the indices, so the last value is reused;
+    // the engine still counts the move as an evaluation.
+    let memo = RefCell::new(Memo::default());
+    let objective = |x: &[f64]| -> f64 {
+        let mut m = memo.borrow_mut();
+        let Memo { idx, last, value } = &mut *m;
+        decode(x, idx);
+        match value {
+            Some(v) if idx == last => *v,
+            _ => {
+                let v = f(idx);
+                std::mem::swap(idx, last);
+                *value = Some(v);
+                v
+            }
+        }
     };
     let _span = qobs::span!("qanneal.minimize_discrete", dims = arity.len());
-    let run = anneal01(&|x| f(&decode(x)), arity.len(), cfg);
+    let run = anneal01(&objective, arity.len(), cfg);
     record_run(&run);
+    let mut best = Vec::with_capacity(arity.len());
+    decode(&run.best, &mut best);
     AnnealOutcome {
-        best: decode(&run.best),
+        best,
         best_value: run.best_value,
         evals: run.evals,
         accepted: run.accepted,
         restarts: run.restarts,
         timed_out: run.timed_out,
     }
+}
+
+/// The last decoded point of a [`minimize_discrete`] run and its objective
+/// value, plus the scratch buffer the next move decodes into.
+#[derive(Default)]
+struct Memo {
+    idx: Vec<usize>,
+    last: Vec<usize>,
+    value: Option<f64>,
 }
 
 /// Raw engine statistics of one [`anneal01`] run.
@@ -221,9 +273,16 @@ fn anneal01(f: &dyn Fn(&[f64]) -> f64, d: usize, cfg: &AnnealConfig) -> EngineRu
         }
     };
 
+    let visit = Visit::new(cfg.visit);
+    // One candidate buffer for the whole run: each move copies the current
+    // point into it, and an accepted move swaps it in.
+    let mut x: Vec<f64> = vec![0.0; d];
+    let mut cand: Vec<f64> = vec![0.0; d];
     'outer: loop {
         // (Re)start from a fresh random point.
-        let mut x: Vec<f64> = (0..d).map(|_| rng.random::<f64>()).collect();
+        for xi in &mut x {
+            *xi = rng.random::<f64>();
+        }
         let mut e_cur = eval_sane(&x);
         evals += 1;
         if e_cur < best_value {
@@ -247,6 +306,7 @@ fn anneal01(f: &dyn Fn(&[f64]) -> f64, d: usize, cfg: &AnnealConfig) -> EngineRu
                 break;
             }
             last_temperature = t;
+            let t_scale = visit.temperature_scale(t);
             // One annealing "cycle": a global all-dimensions move followed
             // by d single-dimension moves (SciPy's strategy chain).
             for step in 0..=d {
@@ -254,14 +314,14 @@ fn anneal01(f: &dyn Fn(&[f64]) -> f64, d: usize, cfg: &AnnealConfig) -> EngineRu
                 if evals >= cfg.max_evals || expired(&mut timed_out) {
                     break 'outer;
                 }
-                let mut cand = x.clone();
+                cand.copy_from_slice(&x);
                 if step == 0 {
-                    for xi in cand.iter_mut() {
-                        *xi = wrap01(*xi + visit_step(t, cfg.visit, &mut rng));
+                    for xi in &mut cand {
+                        *xi = wrap01(*xi + visit.step(t_scale, &mut rng));
                     }
                 } else {
                     let j = step - 1;
-                    cand[j] = wrap01(cand[j] + visit_step(t, cfg.visit, &mut rng));
+                    cand[j] = wrap01(cand[j] + visit.step(t_scale, &mut rng));
                 }
                 let e_new = eval_sane(&cand);
                 evals += 1;
@@ -278,7 +338,7 @@ fn anneal01(f: &dyn Fn(&[f64]) -> f64, d: usize, cfg: &AnnealConfig) -> EngineRu
                 let t_accept = t / (k + 1) as f64;
                 if tsallis_accept(e_new - e_cur, t_accept, cfg.accept, &mut rng) {
                     accepted += 1;
-                    x = cand;
+                    std::mem::swap(&mut x, &mut cand);
                     e_cur = e_new;
                 }
             }
@@ -309,37 +369,85 @@ fn temperature(t0: f64, qv: f64, k: usize) -> f64 {
     t0 * (f64::powf(2.0, e) - 1.0) / (f64::powf((k + 2) as f64, e) - 1.0)
 }
 
-/// Draws one step from the GSA visiting distribution at temperature `t`
-/// (Tsallis–Stariolo distorted Cauchy-Lorentz), scaled into the unit box.
-fn visit_step(t: f64, qv: f64, rng: &mut StdRng) -> f64 {
-    let factor2 = f64::exp((4.0 - qv) * (qv - 1.0).ln());
-    let factor3 = f64::exp((2.0 - qv) * std::f64::consts::LN_2 / (qv - 1.0));
-    let factor4 = std::f64::consts::PI.sqrt() * factor2 / (factor3 * (3.0 - qv));
-    let factor5 = 1.0 / (qv - 1.0) - 0.5;
-    let d1 = 2.0 - factor5;
-    let factor6 = std::f64::consts::PI * (1.0 - factor5)
-        / (std::f64::consts::PI * (1.0 - factor5)).sin()
-        / f64::exp(ln_gamma(d1));
-    let sigmax = f64::exp(-(qv - 1.0) * (factor6 / factor4).ln() / (3.0 - qv))
-        * f64::powf(t, -(qv - 1.0) / (3.0 - qv));
-    let x = sigmax * gauss(rng);
-    let y = gauss(rng);
-    let den = f64::exp((qv - 1.0) * y.abs().ln() / (3.0 - qv));
-    let step = x / den;
-    // Keep steps bounded so a single draw cannot overflow wrap01's loop.
-    step.clamp(-1e8, 1e8) * 1e-1
+/// The GSA visiting distribution (Tsallis–Stariolo distorted
+/// Cauchy-Lorentz) for one `q_v`, with every factor that depends on `q_v`
+/// alone computed once.
+///
+/// A draw's width is `sigmax = base · t^{−(q_v−1)/(3−q_v)}`. Both factors
+/// are the same expressions of the same inputs the textbook form evaluates
+/// per draw, and their product is still formed per draw, so hoisting them
+/// changes no bit of any step.
+struct Visit {
+    /// `q_v − 1`.
+    qv_minus_1: f64,
+    /// `3 − q_v`.
+    three_minus_qv: f64,
+    /// The temperature-independent factor of `sigmax`.
+    base: f64,
+    /// The exponent `−(q_v − 1)/(3 − q_v)` of the temperature factor.
+    t_exponent: f64,
+}
+
+impl Visit {
+    fn new(qv: f64) -> Self {
+        let factor2 = f64::exp((4.0 - qv) * (qv - 1.0).ln());
+        let factor3 = f64::exp((2.0 - qv) * std::f64::consts::LN_2 / (qv - 1.0));
+        let factor4 = std::f64::consts::PI.sqrt() * factor2 / (factor3 * (3.0 - qv));
+        let factor5 = 1.0 / (qv - 1.0) - 0.5;
+        let d1 = 2.0 - factor5;
+        let factor6 = std::f64::consts::PI * (1.0 - factor5)
+            / (std::f64::consts::PI * (1.0 - factor5)).sin()
+            / f64::exp(ln_gamma(d1));
+        Visit {
+            qv_minus_1: qv - 1.0,
+            three_minus_qv: 3.0 - qv,
+            base: f64::exp(-(qv - 1.0) * (factor6 / factor4).ln() / (3.0 - qv)),
+            t_exponent: -(qv - 1.0) / (3.0 - qv),
+        }
+    }
+
+    /// The temperature factor of `sigmax`, computed once per temperature
+    /// step.
+    fn temperature_scale(&self, t: f64) -> f64 {
+        f64::powf(t, self.t_exponent)
+    }
+
+    /// Draws one step at the temperature whose factor is `t_scale`, scaled
+    /// into the unit box.
+    fn step(&self, t_scale: f64, rng: &mut StdRng) -> f64 {
+        let sigmax = self.base * t_scale;
+        let x = sigmax * gauss(rng);
+        let y = gauss(rng);
+        let den = f64::exp(self.qv_minus_1 * y.abs().ln() / self.three_minus_qv);
+        let step = x / den;
+        // Keep steps bounded so a single draw cannot overflow wrap01's loop.
+        step.clamp(-1e8, 1e8) * 1e-1
+    }
 }
 
 /// Tsallis generalized acceptance probability.
+///
+/// A flat move (`delta == 0`) has `pqv = 1` and so `p = 1` exactly whenever
+/// `1 − q_a` is finite and nonzero; it then skips the `ln`/`exp` but still
+/// consumes its uniform draw, keeping the random stream aligned. A `NaN`
+/// delta (`∞ − ∞`) takes the full formula.
 fn tsallis_accept(delta: f64, t_accept: f64, qa: f64, rng: &mut StdRng) -> bool {
     if delta < 0.0 {
         return true;
     }
-    let pqv = 1.0 - (1.0 - qa) * delta / t_accept.max(1e-300);
+    let one_minus_qa = 1.0 - qa;
+    // Exact comparisons: the shortcut is taken only where the formula
+    // below evaluates to exactly 1.
+    #[allow(clippy::float_cmp)]
+    if delta == 0.0 && one_minus_qa.is_finite() && one_minus_qa != 0.0 {
+        let _ = rng.random::<f64>();
+        return true;
+    }
+    let pqv = 1.0 - one_minus_qa * delta / t_accept.max(1e-300);
     if pqv <= 0.0 {
         false
     } else {
-        let p = f64::exp(pqv.ln() / (1.0 - qa));
+        let p = f64::exp(pqv.ln() / one_minus_qa);
         rng.random::<f64>() <= p
     }
 }
@@ -478,6 +586,17 @@ mod tests {
         for _ in 0..100 {
             assert!(tsallis_accept(-0.5, 1.0, -5.0, &mut rng));
         }
+    }
+
+    #[test]
+    fn flat_moves_are_accepted_and_consume_one_draw() {
+        let mut a = StdRng::seed_from_u64(5);
+        let mut b = StdRng::seed_from_u64(5);
+        for t in [1e-9, 1.0, 5230.0] {
+            assert!(tsallis_accept(0.0, t, -5.0, &mut a));
+            let _ = b.random::<f64>();
+        }
+        assert_eq!(a.random::<u64>(), b.random::<u64>(), "streams stay aligned");
     }
 
     #[test]

@@ -371,13 +371,11 @@ impl Circuit {
                 max: Self::MAX_DENSE_QUBITS,
             });
         }
-        let dim = 1usize << self.num_qubits;
-        let mut u = Matrix::identity(dim);
+        let mut u = qmath::kernels::UnitaryBuilder::new(self.num_qubits);
         for inst in &self.instructions {
-            qmath::kernels::LocalOp::new(&inst.gate.matrix(), &inst.qubits, self.num_qubits)
-                .apply_left_inplace(&mut u);
+            u.apply(&inst.gate.local_matrix(), &inst.qubits);
         }
-        Ok(u)
+        Ok(u.finish())
     }
 
     /// The full `2^n × 2^n` unitary of the circuit.

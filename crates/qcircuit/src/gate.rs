@@ -5,6 +5,7 @@
 //! Cliffords and `U3` so benchmark circuits and transpiler output stay
 //! readable.
 
+use qmath::kernels::LocalMatrix;
 use qmath::{Matrix, C64};
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 use std::fmt;
@@ -149,42 +150,52 @@ impl Gate {
     /// The gate's unitary matrix: 2×2 for one-qubit gates, 4×4 for two-qubit
     /// gates with the first operand as the most significant bit.
     pub fn matrix(&self) -> Matrix {
+        self.local_matrix().to_matrix()
+    }
+
+    /// [`Gate::matrix`] as a fixed array, for the allocation-free kernels
+    /// ([`qmath::kernels::UnitaryBuilder`]).
+    pub fn local_matrix(&self) -> LocalMatrix {
         let o = C64::ZERO;
         let l = C64::ONE;
+        let diag = |a: C64, b: C64| LocalMatrix::One([[a, o], [o, b]]);
         match *self {
-            Gate::X => Matrix::from_rows(&[&[o, l], &[l, o]]),
-            Gate::Y => Matrix::from_rows(&[&[o, -C64::I], &[C64::I, o]]),
-            Gate::Z => Matrix::diagonal(&[l, -l]),
+            Gate::X => LocalMatrix::One([[o, l], [l, o]]),
+            Gate::Y => LocalMatrix::One([[o, -C64::I], [C64::I, o]]),
+            Gate::Z => diag(l, -l),
             Gate::H => {
                 let h = C64::real(std::f64::consts::FRAC_1_SQRT_2);
-                Matrix::from_rows(&[&[h, h], &[h, -h]])
+                LocalMatrix::One([[h, h], [h, -h]])
             }
-            Gate::S => Matrix::diagonal(&[l, C64::I]),
-            Gate::Sdg => Matrix::diagonal(&[l, -C64::I]),
-            Gate::T => Matrix::diagonal(&[l, C64::cis(FRAC_PI_4)]),
-            Gate::Tdg => Matrix::diagonal(&[l, C64::cis(-FRAC_PI_4)]),
+            Gate::S => diag(l, C64::I),
+            Gate::Sdg => diag(l, -C64::I),
+            Gate::T => diag(l, C64::cis(FRAC_PI_4)),
+            Gate::Tdg => diag(l, C64::cis(-FRAC_PI_4)),
             Gate::Rx(t) => {
                 let (s, c) = (t / 2.0).sin_cos();
                 let ms_i = C64::new(0.0, -s);
-                Matrix::from_rows(&[&[C64::real(c), ms_i], &[ms_i, C64::real(c)]])
+                LocalMatrix::One([[C64::real(c), ms_i], [ms_i, C64::real(c)]])
             }
-            Gate::Ry(t) => qmath::decompose::ry_matrix(t),
-            Gate::Rz(t) => qmath::decompose::rz_matrix(t),
-            Gate::Phase(t) => Matrix::diagonal(&[l, C64::cis(t)]),
+            Gate::Ry(t) => {
+                let (s, c) = (t / 2.0).sin_cos();
+                LocalMatrix::One([[C64::real(c), C64::real(-s)], [C64::real(s), C64::real(c)]])
+            }
+            Gate::Rz(t) => diag(C64::cis(-t / 2.0), C64::cis(t / 2.0)),
+            Gate::Phase(t) => diag(l, C64::cis(t)),
             Gate::U3(t, p, lam) => {
                 let (s, c) = (t / 2.0).sin_cos();
-                Matrix::from_rows(&[
-                    &[C64::real(c), -C64::cis(lam) * s],
-                    &[C64::cis(p) * s, C64::cis(p + lam) * c],
+                LocalMatrix::One([
+                    [C64::real(c), -C64::cis(lam) * s],
+                    [C64::cis(p) * s, C64::cis(p + lam) * c],
                 ])
             }
+            // Basis order |c t⟩: 00→00, 01→01, 10→11, 11→10.
             Gate::Cnot => {
-                // Basis order |c t⟩: 00→00, 01→01, 10→11, 11→10.
-                Matrix::from_rows(&[&[l, o, o, o], &[o, l, o, o], &[o, o, o, l], &[o, o, l, o]])
+                LocalMatrix::Two([[l, o, o, o], [o, l, o, o], [o, o, o, l], [o, o, l, o]])
             }
-            Gate::Cz => Matrix::diagonal(&[l, l, l, -l]),
+            Gate::Cz => LocalMatrix::Two([[l, o, o, o], [o, l, o, o], [o, o, l, o], [o, o, o, -l]]),
             Gate::Swap => {
-                Matrix::from_rows(&[&[l, o, o, o], &[o, o, l, o], &[o, l, o, o], &[o, o, o, l]])
+                LocalMatrix::Two([[l, o, o, o], [o, o, l, o], [o, l, o, o], [o, o, o, l]])
             }
         }
     }

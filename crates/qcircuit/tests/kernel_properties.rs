@@ -121,6 +121,71 @@ proptest! {
     }
 }
 
+/// A random gate from the whole gate set, with random angles and operands.
+fn random_gate(n: usize, rng: &mut StdRng) -> (qcircuit::Gate, Vec<usize>) {
+    use qcircuit::Gate;
+    let mut angle = || rng.random_range(-4.0..4.0);
+    let (a, b, c) = (angle(), angle(), angle());
+    let gates = [
+        Gate::X,
+        Gate::Y,
+        Gate::Z,
+        Gate::H,
+        Gate::S,
+        Gate::Sdg,
+        Gate::T,
+        Gate::Tdg,
+        Gate::Rx(a),
+        Gate::Ry(a),
+        Gate::Rz(a),
+        Gate::Phase(a),
+        Gate::U3(a, b, c),
+        Gate::Cnot,
+        Gate::Cz,
+        Gate::Swap,
+    ];
+    let mut gate = gates[rng.random_range(0..gates.len())];
+    if n == 1 && gate.is_two_qubit() {
+        gate = Gate::U3(a, b, c);
+    }
+    let q0 = rng.random_range(0..n);
+    let mut qubits = vec![q0];
+    if gate.is_two_qubit() {
+        let q1 = (q0 + rng.random_range(1..n)) % n;
+        qubits.push(q1);
+    }
+    (gate, qubits)
+}
+
+fn bits(m: &Matrix) -> Vec<(u64, u64)> {
+    m.as_slice()
+        .iter()
+        .map(|c| (c.re.to_bits(), c.im.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The dense-unitary builder behind `Circuit::unitary` and
+    /// `Template::unitary` reproduces the embed-then-matmul product to the
+    /// bit, signs of zeros included.
+    #[test]
+    fn unitary_builder_matches_embed_matmul_bits(seed in 0u64..1_000_000, len in 0usize..40) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for n in 1..=4usize {
+            let mut c = qcircuit::Circuit::new(n);
+            let mut reference = Matrix::identity(1 << n);
+            for _ in 0..len {
+                let (gate, qubits) = random_gate(n, &mut rng);
+                reference = embed(&gate.matrix(), &qubits, n).matmul(&reference);
+                c.push(gate, &qubits);
+            }
+            prop_assert_eq!(bits(&c.unitary()), bits(&reference), "n={} circuit {}", n, &c);
+        }
+    }
+}
+
 #[test]
 fn circuit_unitary_matches_embed_matmul_reference() {
     // `Circuit::unitary` now runs on kernels; its output must equal the

@@ -220,6 +220,31 @@ impl LocalOp {
         op
     }
 
+    /// Prepares a 1- or 2-qubit operator given as a [`LocalMatrix`] array —
+    /// no `Matrix` allocation on either side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubits.len()` does not match the matrix width, if a qubit
+    /// is out of range, or if qubits repeat.
+    pub fn from_local(m: &LocalMatrix, qubits: &[usize], n: usize) -> Self {
+        let pl = Placement::new(qubits, n);
+        let mut mm = [[C64::ZERO; MAX_L]; MAX_L];
+        let mut fill = |l: usize, at: &dyn Fn(usize, usize) -> C64| {
+            assert_eq!(pl.l, l, "matrix width does not match the qubit count");
+            for (x, row) in mm.iter_mut().enumerate().take(l) {
+                for (y, e) in row.iter_mut().enumerate().take(l) {
+                    *e = at(pl.perm[x], pl.perm[y]);
+                }
+            }
+        };
+        match m {
+            LocalMatrix::One(a) => fill(2, &|i, j| a[i][j]),
+            LocalMatrix::Two(a) => fill(4, &|i, j| a[i][j]),
+        }
+        LocalOp { pl, mm }
+    }
+
     /// Replaces the local matrix, keeping the placement. Allocation-free.
     ///
     /// # Panics
@@ -365,6 +390,88 @@ impl LocalOp {
                 }
             }
         }
+    }
+}
+
+/// A gate's local matrix as a fixed array: the allocation-free currency of
+/// [`UnitaryBuilder`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum LocalMatrix {
+    /// A one-qubit operator.
+    One([[C64; 2]; 2]),
+    /// A two-qubit operator, its first qubit the most significant bit of
+    /// the local index.
+    Two([[C64; 4]; 4]),
+}
+
+impl LocalMatrix {
+    /// The same operator as a [`Matrix`].
+    pub fn to_matrix(&self) -> Matrix {
+        match self {
+            LocalMatrix::One(m) => Matrix::from_rows(&[&m[0], &m[1]]),
+            LocalMatrix::Two(m) => Matrix::from_rows(&[&m[0], &m[1], &m[2], &m[3]]),
+        }
+    }
+}
+
+/// The dense `2^n × 2^n` unitary of a gate list, built by applying each
+/// gate from the left to the identity.
+///
+/// Every gate goes through [`LocalOp::apply_left_into`] (one SIMD axpy per
+/// nonzero local entry and output row) between two ping-pong buffers, and
+/// gate matrices arrive as [`LocalMatrix`] arrays, so a build allocates the
+/// two buffers and nothing per gate. There is no gate fusion and no
+/// permutation shortcut: each output entry accumulates exactly the terms
+/// [`LocalOp::apply_left_inplace`] accumulates, in the same order from
+/// `+0.0`, so the result is bit-identical to it — signs of zeros included
+/// — and therefore to the embed-then-matmul reference the kernel contract
+/// names.
+///
+/// ```
+/// use qmath::kernels::{LocalMatrix, UnitaryBuilder};
+/// use qmath::C64;
+///
+/// let (o, l) = (C64::ZERO, C64::ONE);
+/// let mut b = UnitaryBuilder::new(2);
+/// b.apply(&LocalMatrix::One([[o, l], [l, o]]), &[1]); // X on qubit 1
+/// let u = b.finish();
+/// assert_eq!(u[(1, 0)], l);
+/// assert_eq!(u[(0, 1)], l);
+/// ```
+#[derive(Clone, Debug)]
+pub struct UnitaryBuilder {
+    n: usize,
+    /// The product so far.
+    cur: Matrix,
+    /// Scratch the next gate writes into before the buffers swap.
+    next: Matrix,
+}
+
+impl UnitaryBuilder {
+    /// Starts from the `n`-qubit identity.
+    pub fn new(n: usize) -> Self {
+        let dim = 1usize << n;
+        UnitaryBuilder {
+            n,
+            cur: Matrix::identity(dim),
+            next: Matrix::zeros(dim, dim),
+        }
+    }
+
+    /// Left-multiplies the product by `m` acting on `qubits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubits` does not match `m`'s width, if a qubit is out of
+    /// range, or if qubits repeat.
+    pub fn apply(&mut self, m: &LocalMatrix, qubits: &[usize]) {
+        LocalOp::from_local(m, qubits, self.n).apply_left_into(&self.cur, &mut self.next);
+        std::mem::swap(&mut self.cur, &mut self.next);
+    }
+
+    /// The finished unitary.
+    pub fn finish(self) -> Matrix {
+        self.cur
     }
 }
 

@@ -7,7 +7,7 @@
 //! on the two touched qubits.
 
 use qcircuit::Circuit;
-use qmath::kernels::LocalOp;
+use qmath::kernels::UnitaryBuilder;
 use qmath::{Matrix, C64};
 
 /// One structural element of a template.
@@ -116,34 +116,30 @@ impl Template {
         c
     }
 
-    /// The template's unitary at the given parameters.
-    ///
-    /// Computed by in-place local gate application ([`qmath::kernels`]) —
-    /// same values as instantiating the circuit and multiplying embedded
-    /// gates, without the per-gate scratch matrices.
+    /// The template's unitary at the given parameters, built by
+    /// [`qmath::kernels::UnitaryBuilder`] — bit-identical to instantiating
+    /// the circuit and calling [`Circuit::unitary`].
     ///
     /// # Panics
     ///
     /// Panics if `params.len() != self.num_params()`.
     pub fn unitary(&self, params: &[f64]) -> Matrix {
         assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
-        let n = self.num_qubits;
-        let mut u = Matrix::identity(1 << n);
+        let mut u = UnitaryBuilder::new(self.num_qubits);
         let mut p = 0;
         for op in &self.ops {
             match *op {
                 TemplateOp::FreeU3 { qubit } => {
-                    let (m, _) = u3_entries(params[p], params[p + 1], params[p + 2]);
+                    let gate = qcircuit::Gate::U3(params[p], params[p + 1], params[p + 2]);
                     p += 3;
-                    LocalOp::from_1q(&m, qubit, n).apply_left_inplace(&mut u);
+                    u.apply(&gate.local_matrix(), &[qubit]);
                 }
                 TemplateOp::Cnot { control, target } => {
-                    LocalOp::new(&qcircuit::Gate::Cnot.matrix(), &[control, target], n)
-                        .apply_left_inplace(&mut u);
+                    u.apply(&qcircuit::Gate::Cnot.local_matrix(), &[control, target]);
                 }
             }
         }
-        u
+        u.finish()
     }
 }
 

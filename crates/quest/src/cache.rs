@@ -39,9 +39,13 @@ use std::sync::Arc;
 
 /// Version of the on-disk entry format. Bump on any incompatible change to
 /// the entry JSON *or* to the numerics that produced the cached menus —
-/// v2 marks the batched SoA evaluator, whose suffix-product cost places
-/// different (equally valid) bits in cached menus than the v1 prefix-sweep.
-pub const DISK_CACHE_SCHEMA_VERSION: u64 = 2;
+/// v2 marked the batched SoA evaluator, whose suffix-product cost places
+/// different (equally valid) bits in cached menus than the v1 prefix-sweep;
+/// v3 stores each approximation's gates as one compact `ops` string instead
+/// of one JSON object per gate. Older entries no longer match by file name
+/// (the version is part of the config fingerprint) and age out through LRU
+/// eviction.
+pub const DISK_CACHE_SCHEMA_VERSION: u64 = 3;
 
 /// Default size cap for the disk tier (256 MiB).
 pub const DEFAULT_DISK_CACHE_MAX_BYTES: u64 = 256 * 1024 * 1024;
@@ -554,9 +558,9 @@ pub fn config_fingerprint(config: &QuestConfig) -> u64 {
     h.finish()
 }
 
-/// Serializes a menu to the on-disk entry JSON. Floats (gate angles, HS
-/// distances) round-trip bit-exactly through [`qobs::json`]'s
-/// shortest-representation formatting, which is what makes warm menus
+/// Serializes a menu to the on-disk entry JSON. HS distances round-trip
+/// bit-exactly through [`qobs::json`]'s shortest-representation formatting
+/// and gate angles through [`encode_ops`], which is what makes warm menus
 /// bit-identical to cold ones.
 fn encode_entry(key: u64, target: &Matrix, config: &QuestConfig, menu: &CachedMenu) -> Json {
     let obj = |members: Vec<(&str, Json)>| {
@@ -590,38 +594,7 @@ fn encode_entry(key: u64, target: &Matrix, config: &QuestConfig, menu: &CachedMe
                         obj(vec![
                             ("cnots", Json::from(a.cnot_count)),
                             ("distance", Json::from(a.distance)),
-                            (
-                                "gates",
-                                Json::Array(
-                                    a.circuit
-                                        .iter()
-                                        .map(|inst| {
-                                            obj(vec![
-                                                ("g", Json::from(inst.gate.name().to_string())),
-                                                (
-                                                    "q",
-                                                    Json::Array(
-                                                        inst.qubits
-                                                            .iter()
-                                                            .map(|&q| Json::from(q))
-                                                            .collect(),
-                                                    ),
-                                                ),
-                                                (
-                                                    "p",
-                                                    Json::Array(
-                                                        inst.gate
-                                                            .params()
-                                                            .iter()
-                                                            .map(|&p| Json::from(p))
-                                                            .collect(),
-                                                    ),
-                                                ),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
+                            ("ops", Json::from(encode_ops(&a.circuit))),
                         ])
                     })
                     .collect(),
@@ -630,11 +603,82 @@ fn encode_entry(key: u64, target: &Matrix, config: &QuestConfig, menu: &CachedMe
     ])
 }
 
+/// A circuit's gates as one compact string: `;`-separated gates, each
+/// `name(p0,p1,…) q0,q1` (the parameter list omitted when empty), e.g.
+/// `u3(0.5,-1.25,3.0) 2;cx 0,1`. Angles use Rust's shortest round-trip
+/// form, which `str::parse::<f64>` reads back to the same bits.
+fn encode_ops(circuit: &Circuit) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    for (n, inst) in circuit.iter().enumerate() {
+        if n > 0 {
+            out.push(';');
+        }
+        out.push_str(inst.gate.name());
+        let params = inst.gate.params();
+        for (i, p) in params.iter().enumerate() {
+            out.push(if i == 0 { '(' } else { ',' });
+            let _ = write!(out, "{p:?}");
+        }
+        if !params.is_empty() {
+            out.push(')');
+        }
+        for (i, q) in inst.qubits.iter().enumerate() {
+            out.push(if i == 0 { ' ' } else { ',' });
+            let _ = write!(out, "{q}");
+        }
+    }
+    out
+}
+
+/// Rebuilds a circuit from [`encode_ops`] text. `None` on anything
+/// malformed: an empty string (menu entries always carry a gate), a
+/// truncated gate, an unknown gate name, a wrong parameter or operand
+/// count, a non-finite angle, or an out-of-range or repeated qubit. Every
+/// gate goes through [`gate_from_parts`] and [`Circuit::try_push`].
+fn decode_ops(ops: &str, num_qubits: usize) -> Option<Circuit> {
+    if ops.is_empty() {
+        return None;
+    }
+    let mut circuit = Circuit::new(num_qubits);
+    let mut params: Vec<f64> = Vec::with_capacity(3);
+    let mut qubits: Vec<usize> = Vec::with_capacity(2);
+    for op in ops.split(';') {
+        let (head, operands) = op.split_once(' ')?;
+        let name = match head.split_once('(') {
+            Some((name, args)) => {
+                params.clear();
+                for a in args.strip_suffix(')')?.split(',') {
+                    let v: f64 = a.parse().ok()?;
+                    if !v.is_finite() {
+                        return None;
+                    }
+                    params.push(v);
+                }
+                name
+            }
+            None => {
+                params.clear();
+                head
+            }
+        };
+        qubits.clear();
+        for q in operands.split(',') {
+            qubits.push(q.parse().ok()?);
+        }
+        circuit
+            .try_push(gate_from_parts(name, &params)?, &qubits)
+            .ok()?;
+    }
+    Some(circuit)
+}
+
 /// Parses and validates an on-disk entry. `None` on *any* irregularity:
 /// unparseable JSON (corruption, truncated writes), schema-version skew,
-/// key/fingerprint mismatch, unknown gates, out-of-range qubit operands, or
-/// a stored HS distance that disagrees with the distance recomputed from
-/// the reconstructed circuit against the live target unitary.
+/// key/fingerprint mismatch, malformed `ops` (see [`decode_ops`]), a CNOT
+/// count that disagrees with the rebuilt circuit, or a stored HS distance
+/// that disagrees with the distance recomputed from the rebuilt circuit
+/// against the live target unitary.
 fn decode_entry(text: &str, target: &Matrix, config: &QuestConfig) -> Option<CachedMenu> {
     let json = Json::parse(text).ok()?;
     if json.get("schema_version")?.as_u64()? != DISK_CACHE_SCHEMA_VERSION {
@@ -655,24 +699,7 @@ fn decode_entry(text: &str, target: &Matrix, config: &QuestConfig) -> Option<Cac
     for a in json.get("approximations")?.as_array()? {
         let cnot_count = usize::try_from(a.get("cnots")?.as_u64()?).ok()?;
         let distance = a.get("distance")?.as_f64()?;
-        let mut circuit = Circuit::new(num_qubits);
-        for g in a.get("gates")?.as_array()? {
-            let name = g.get("g")?.as_str()?;
-            let qubits: Vec<usize> = g
-                .get("q")?
-                .as_array()?
-                .iter()
-                .map(|q| q.as_u64().and_then(|v| usize::try_from(v).ok()))
-                .collect::<Option<_>>()?;
-            let params: Vec<f64> = g
-                .get("p")?
-                .as_array()?
-                .iter()
-                .map(Json::as_f64)
-                .collect::<Option<_>>()?;
-            let gate = gate_from_parts(name, &params)?;
-            circuit.try_push(gate, &qubits).ok()?;
-        }
+        let circuit = decode_ops(a.get("ops")?.as_str()?, num_qubits)?;
         if circuit.cnot_count() != cnot_count {
             return None;
         }
@@ -843,5 +870,55 @@ mod tests {
         assert_eq!(gate_from_parts("nope", &[]), None);
         assert_eq!(gate_from_parts("rz", &[]), None, "missing parameter");
         assert_eq!(gate_from_parts("x", &[0.1]), None, "spurious parameter");
+    }
+
+    #[test]
+    fn ops_roundtrip_bit_exactly() {
+        let mut c = Circuit::new(3);
+        c.u3(2, 0.1, -0.0, 1e-300)
+            .cnot(0, 1)
+            .rz(1, -1.234_567_890_123_456_7)
+            .push(Gate::Phase(5e-324), &[0])
+            .swap(2, 0)
+            .h(1);
+        let text = encode_ops(&c);
+        assert_eq!(
+            text,
+            "u3(0.1,-0.0,1e-300) 2;cx 0,1;rz(-1.2345678901234567) 1;p(5e-324) 0;swap 2,0;h 1"
+        );
+        let back = decode_ops(&text, 3).expect("decodes");
+        assert_eq!(back, c);
+        let bits = |c: &Circuit| -> Vec<u64> {
+            c.iter()
+                .flat_map(|i| i.gate.params())
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(
+            bits(&back),
+            bits(&c),
+            "angles keep their bits, -0.0 included"
+        );
+    }
+
+    #[test]
+    fn malformed_ops_are_rejected() {
+        for bad in [
+            "",
+            "cx 0,1;",
+            "u3(0.1,0.2,0.3",
+            "u3(0.1,0.2) 0",
+            "u3(0.1,0.2,0.3) 0,1",
+            "rz(nan) 0",
+            "rz(inf) 0",
+            "rz() 0",
+            "rz(0.1)",
+            "ccx 0,1",
+            "cx 0,3",
+            "cx 1,1",
+            "x -1",
+        ] {
+            assert_eq!(decode_ops(bad, 3), None, "{bad:?}");
+        }
     }
 }

@@ -17,38 +17,50 @@
 
 use crate::pipeline::SynthesizedBlock;
 
-/// Precomputed pairwise similarity data for one block: `similar[i][j]`
-/// says whether approximations `i` and `j` of the block are similar.
+/// Precomputed pairwise similarity data for one block, as bitset rows: bit
+/// `j` of row `i` says whether approximations `i` and `j` of the block are
+/// similar. A row takes one `u64` word per 64 menu entries, so menus of any
+/// size fit.
 #[derive(Clone, Debug)]
 pub struct BlockSimilarity {
-    similar: Vec<Vec<bool>>,
+    /// Words per row.
+    words: usize,
+    /// Row `i` is `bits[i * words..(i + 1) * words]`.
+    bits: Vec<u64>,
 }
 
 impl BlockSimilarity {
     /// Computes the similarity table for a block's approximation list.
     pub fn new(block: &SynthesizedBlock) -> Self {
         let k = block.approximations.len();
-        let mut similar = vec![vec![false; k]; k];
-        // Each upper-triangle entry is written to two rows at once, so an
-        // iterator over `similar` cannot express the symmetric fill.
-        #[allow(clippy::needless_range_loop)]
+        let words = k.div_ceil(64);
+        let mut sim = BlockSimilarity {
+            words,
+            bits: vec![0; k * words],
+        };
         for i in 0..k {
-            similar[i][i] = true;
+            sim.set(i, i);
             for j in (i + 1)..k {
                 let a = &block.approximations[i];
                 let b = &block.approximations[j];
                 let mutual = qmath::hs::process_distance(&a.unitary, &b.unitary);
-                let is_similar = mutual <= a.distance.max(b.distance);
-                similar[i][j] = is_similar;
-                similar[j][i] = is_similar;
+                if mutual <= a.distance.max(b.distance) {
+                    sim.set(i, j);
+                    sim.set(j, i);
+                }
             }
         }
-        BlockSimilarity { similar }
+        sim
+    }
+
+    fn set(&mut self, i: usize, j: usize) {
+        self.bits[i * self.words + j / 64] |= 1 << (j % 64);
     }
 
     /// Whether approximations `i` and `j` are similar.
+    #[inline]
     pub fn are_similar(&self, i: usize, j: usize) -> bool {
-        self.similar[i][j]
+        (self.bits[i * self.words + j / 64] >> (j % 64)) & 1 == 1
     }
 }
 
@@ -220,6 +232,29 @@ mod tests {
         let sim = BlockSimilarity::new(&block);
         assert!(sim.are_similar(0, 0));
         assert!(sim.are_similar(1, 1));
+    }
+
+    #[test]
+    fn menus_wider_than_one_word_keep_every_pair() {
+        // 70 entries span two words per row; every pair must read back the
+        // similarity rule itself.
+        let n = 70;
+        let block = fake_block(&vec![0.3; n], &vec![1; n]);
+        let sim = BlockSimilarity::new(&block);
+        let a = &block.approximations;
+        let mut similar_pairs = 0;
+        for i in 0..n {
+            for j in 0..n {
+                let mutual = qmath::hs::process_distance(&a[i].unitary, &a[j].unitary);
+                let expect = i == j || mutual <= 0.3;
+                assert_eq!(sim.are_similar(i, j), expect, "({i}, {j})");
+                similar_pairs += usize::from(expect && i != j);
+            }
+        }
+        assert!(
+            similar_pairs > 0,
+            "the fixture mixes similar and dissimilar pairs"
+        );
     }
 
     #[test]

@@ -475,11 +475,22 @@ impl Quest {
         // without re-counting).
         let poisoned_total = AtomicUsize::new(0);
 
+        // An uncached compile still synthesizes each distinct block once:
+        // it memoizes into a cache of its own, whose counters nobody reads
+        // (`compile_inner` reports cache activity only for a caller's
+        // cache).
+        let run_local;
+        let cache = match cache {
+            Some(cache) => cache,
+            None => {
+                run_local = BlockCache::new();
+                &run_local
+            }
+        };
+
         // The synthesis seed depends only on block *content* (via the cache
-        // key) when caching, and on the block index otherwise; both are
-        // deterministic for a fixed input circuit.
-        let synthesize_menu = |seed_mix: u64, block: &qpartition::Block| -> CachedMenu {
-            let target = block.unitary();
+        // key), so it is deterministic for a fixed input circuit.
+        let synthesize_menu = |seed_mix: u64, block: &qpartition::Block, target: &Matrix| {
             let original_cnots = block.circuit().cnot_count();
             let mut cfg = self.config.synthesis.clone();
             cfg.epsilon = self.config.epsilon_per_block;
@@ -488,11 +499,11 @@ impl Quest {
             cfg.deadline = self.config.block_deadline;
             cfg.max_gradient_evals = self.config.max_gradient_evals;
             cfg = cfg.with_seed(self.config.seed ^ seed_mix.wrapping_mul(0x9E37));
-            let res = synthesize(&target, &cfg);
+            let res = synthesize(target, &cfg);
             poisoned_total.fetch_add(res.poisoned_starts, Ordering::Relaxed);
             let exact = BlockApprox {
                 circuit: block.circuit().clone(),
-                unitary: target,
+                unitary: target.clone(),
                 distance: 0.0,
                 cnot_count: original_cnots,
             };
@@ -536,24 +547,22 @@ impl Quest {
             );
             qfault::inject!("quest.block_worker", panic);
             // Seeding by content key (not block index) keeps cached and
-            // uncached compilations bit-identical.
+            // uncached compilations bit-identical. The block unitary is
+            // built once: it keys and re-verifies the disk entry, is the
+            // synthesis target on a miss, and is the block's original.
             let key = block_key(block.circuit(), &self.config);
-            let menu = match cache {
-                Some(cache) => {
-                    (*cache.get_or_insert_with(key, &block.unitary(), &self.config, || {
-                        synthesize_menu(key, block)
-                    }))
-                    .clone()
-                }
-                None => synthesize_menu(key, block),
-            };
+            let target = block.unitary();
+            let menu = (*cache.get_or_insert_with(key, &target, &self.config, || {
+                synthesize_menu(key, block, &target)
+            }))
+            .clone();
             observer.event(CompileEvent::BlockSynthesized {
                 index,
                 total: blocks.len(),
             });
             SynthesizedBlock {
                 qubits: block.qubits().to_vec(),
-                original_unitary: block.unitary(),
+                original_unitary: target,
                 original_cnots: block.circuit().cnot_count(),
                 approximations: menu.approximations,
                 synthesis_evals: menu.synthesis_evals,
@@ -604,13 +613,14 @@ impl Quest {
                     }
                 }
                 qobs::event!("quest.block_degraded_to_exact", block = i);
+                let target = block.unitary();
                 SynthesizedBlock {
                     qubits: block.qubits().to_vec(),
-                    original_unitary: block.unitary(),
+                    original_unitary: target.clone(),
                     original_cnots: block.circuit().cnot_count(),
                     approximations: vec![BlockApprox {
                         circuit: block.circuit().clone(),
-                        unitary: block.unitary(),
+                        unitary: target,
                         distance: 0.0,
                         cnot_count: block.circuit().cnot_count(),
                     }],

@@ -243,3 +243,64 @@ fn resolved_parallel_width_is_reported() {
     assert_eq!(serial.parallel_width, 1);
     assert_bit_identical(&wide, &serial);
 }
+
+/// A damaging rewrite of an entry's `ops` string.
+type OpsEdit = fn(&str) -> String;
+
+/// Rewrites the `ops` string of the first approximation in one entry file.
+fn rewrite_first_ops(path: &PathBuf, edit: OpsEdit) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let key = "\"ops\": \"";
+    let start = text.find(key).expect("v3 entries carry ops strings") + key.len();
+    let len = text[start..].find('"').expect("ops string closes");
+    let ops = &text[start..start + len];
+    let edited = format!("{}{}{}", &text[..start], edit(ops), &text[start + len..]);
+    std::fs::write(path, edited).unwrap();
+}
+
+#[test]
+fn malformed_ops_fail_validation_one_entry_at_a_time() {
+    let dir = temp_cache_dir("ops");
+    let circuit = fixture_circuit();
+    let cold = quest().compile_with_cache(&circuit, &disk_cache(&dir));
+    let edits: [(&str, OpsEdit); 7] = [
+        ("truncated", |ops| ops[..ops.len() / 2].to_string()),
+        ("unknown gate", |ops| format!("bogus 0;{ops}")),
+        ("parameter count", |ops| format!("rz(0.1,0.2) 0;{ops}")),
+        ("qubit range", |ops| format!("x 7;{ops}")),
+        ("NaN parameter", |ops| format!("rz(NaN) 0;{ops}")),
+        ("inf parameter", |ops| format!("rz(inf) 0;{ops}")),
+        ("empty", |_| String::new()),
+    ];
+    for (what, edit) in edits {
+        // Refill, then damage one entry: exactly that lookup degrades to a
+        // validation failure and a miss, and the recompile re-synthesizes
+        // the same menu.
+        let _ = quest().compile_with_cache(&circuit, &disk_cache(&dir));
+        let files = entry_files(&dir);
+        assert!(!files.is_empty());
+        rewrite_first_ops(&files[0], edit);
+        let cache = disk_cache(&dir);
+        let again = quest().compile_with_cache(&circuit, &cache);
+        assert_eq!(cache.validation_failures(), 1, "{what}");
+        assert_eq!(cache.disk_misses(), 1, "{what}");
+        assert_eq!(cache.disk_hits(), cache.misses() - 1, "{what}");
+        assert_bit_identical(&cold, &again);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn entries_store_gates_as_compact_ops_strings() {
+    let dir = temp_cache_dir("layout");
+    let _ = quest().compile_with_cache(&fixture_circuit(), &disk_cache(&dir));
+    let files = entry_files(&dir);
+    assert!(!files.is_empty());
+    for path in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"schema_version\": 3"), "{text}");
+        assert!(text.contains("\"ops\": \""), "{text}");
+        assert!(!text.contains("\"gates\""), "no per-gate objects: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
