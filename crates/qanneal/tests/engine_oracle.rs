@@ -307,8 +307,7 @@ fn engine_matches_reference_on_fine_lattices() {
         });
         (h % 1000) as f64 / 1000.0
     };
-    for seed in 0..8u64 {
-        let d = 1 + (seed as usize % 6);
+    for (seed, d) in (0..8u64).zip((1..=6).cycle()) {
         let arity = vec![FINE; d];
         let cfg = AnnealConfig {
             max_evals: 3_000,

@@ -162,8 +162,8 @@ impl Placement {
 /// register, prepared for strided application.
 ///
 /// The placement (offsets, sorting permutation, group expansion) is computed
-/// once; the local matrix can be swapped cheaply with [`LocalOp::set_1q`]
-/// for parameterized gates, so per-evaluation refills are allocation-free.
+/// once per operator; [`LocalOp::from_local`] builds one from a fixed
+/// array without allocating.
 ///
 /// ```
 /// use qmath::{kernels::LocalOp, C64, Matrix};
@@ -205,21 +205,6 @@ impl LocalOp {
         op
     }
 
-    /// Prepares a 1-qubit operator given as a plain array — no `Matrix`
-    /// allocation on either side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qubit >= n`.
-    pub fn from_1q(m: &[[C64; 2]; 2], qubit: usize, n: usize) -> Self {
-        let mut op = LocalOp {
-            pl: Placement::new(&[qubit], n),
-            mm: [[C64::ZERO; MAX_L]; MAX_L],
-        };
-        op.set_1q(m);
-        op
-    }
-
     /// Prepares a 1- or 2-qubit operator given as a [`LocalMatrix`] array —
     /// no `Matrix` allocation on either side.
     ///
@@ -229,18 +214,20 @@ impl LocalOp {
     /// is out of range, or if qubits repeat.
     pub fn from_local(m: &LocalMatrix, qubits: &[usize], n: usize) -> Self {
         let pl = Placement::new(qubits, n);
-        let mut mm = [[C64::ZERO; MAX_L]; MAX_L];
-        let mut fill = |l: usize, at: &dyn Fn(usize, usize) -> C64| {
-            assert_eq!(pl.l, l, "matrix width does not match the qubit count");
-            for (x, row) in mm.iter_mut().enumerate().take(l) {
-                for (y, e) in row.iter_mut().enumerate().take(l) {
-                    *e = at(pl.perm[x], pl.perm[y]);
-                }
-            }
+        let width = match m {
+            LocalMatrix::One(_) => 2,
+            LocalMatrix::Two(_) => 4,
         };
-        match m {
-            LocalMatrix::One(a) => fill(2, &|i, j| a[i][j]),
-            LocalMatrix::Two(a) => fill(4, &|i, j| a[i][j]),
+        assert_eq!(pl.l, width, "matrix width does not match the qubit count");
+        let entry = |i: usize, j: usize| match m {
+            LocalMatrix::One(a) => a[i][j],
+            LocalMatrix::Two(a) => a[i][j],
+        };
+        let mut mm = [[C64::ZERO; MAX_L]; MAX_L];
+        for (row, &px) in mm.iter_mut().zip(&pl.perm).take(pl.l) {
+            for (e, &py) in row.iter_mut().zip(&pl.perm).take(pl.l) {
+                *e = entry(px, py);
+            }
         }
         LocalOp { pl, mm }
     }
@@ -259,22 +246,6 @@ impl LocalOp {
         for x in 0..self.pl.l {
             for y in 0..self.pl.l {
                 self.mm[x][y] = m[(self.pl.perm[x], self.pl.perm[y])];
-            }
-        }
-    }
-
-    /// Replaces the local matrix of a 1-qubit operator from a plain array —
-    /// the allocation-free refill path for parameterized `U3`s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operator is not 1-qubit.
-    #[inline]
-    pub fn set_1q(&mut self, m: &[[C64; 2]; 2]) {
-        assert_eq!(self.pl.k, 1, "set_1q needs a 1-qubit operator");
-        for x in 0..2 {
-            for y in 0..2 {
-                self.mm[x][y] = m[self.pl.perm[x]][self.pl.perm[y]];
             }
         }
     }
@@ -824,19 +795,24 @@ mod tests {
     }
 
     #[test]
-    fn set_1q_refill_matches_fresh_construction() {
-        let m = Matrix::from_rows(&[
-            &[C64::new(0.1, 0.2), C64::new(0.3, -0.1)],
-            &[C64::new(-0.7, 0.0), C64::new(0.0, 1.0)],
-        ]);
-        let mut op = LocalOp::new(&x_gate(), &[2], 4);
-        op.set_1q(&[[m[(0, 0)], m[(0, 1)]], [m[(1, 0)], m[(1, 1)]]]);
-        let fresh = LocalOp::new(&m, &[2], 4);
+    fn from_local_matches_matrix_construction() {
+        let one = [
+            [C64::new(0.1, 0.2), C64::new(0.3, -0.1)],
+            [C64::new(-0.7, 0.0), C64::new(0.0, 1.0)],
+        ];
+        let two = std::array::from_fn(|i| {
+            std::array::from_fn(|j| C64::new(0.3 * i as f64 - 0.1, 0.2 * j as f64))
+        });
         let src = Matrix::from_fn(16, 16, |i, j| C64::new(i as f64 * 0.5, j as f64 * 0.25));
-        let (mut a, mut b) = (Matrix::zeros(16, 16), Matrix::zeros(16, 16));
-        op.apply_left_into(&src, &mut a);
-        fresh.apply_left_into(&src, &mut b);
-        assert_eq!(a, b);
+        for (m, qubits) in [
+            (LocalMatrix::One(one), &[2][..]),
+            (LocalMatrix::Two(two), &[3, 1][..]),
+        ] {
+            let (mut a, mut b) = (Matrix::zeros(16, 16), Matrix::zeros(16, 16));
+            LocalOp::from_local(&m, qubits, 4).apply_left_into(&src, &mut a);
+            LocalOp::new(&m.to_matrix(), qubits, 4).apply_left_into(&src, &mut b);
+            assert_eq!(a, b, "{qubits:?}");
+        }
     }
 
     #[test]
@@ -916,7 +892,7 @@ mod tests {
             }
             batched.apply_left_inplace(&mut stack, lanes);
             for (b, m) in ms.iter().enumerate() {
-                let serial = LocalOp::from_1q(&lane_1q(b), 1, n);
+                let serial = LocalOp::from_local(&LocalMatrix::One(lane_1q(b)), &[1], n);
                 let mut want = m.clone();
                 serial.apply_left_inplace(&mut want);
                 assert_eq!(unpack(&stack, dim, lanes, b), want, "lane {b} of {lanes}");
@@ -948,7 +924,7 @@ mod tests {
             }
             per_lane.apply_right_into(&stack, &mut dst, lanes);
             for (b, m) in ms.iter().enumerate() {
-                let serial = LocalOp::from_1q(&lane_1q(b + 1), 2, n);
+                let serial = LocalOp::from_local(&LocalMatrix::One(lane_1q(b + 1)), &[2], n);
                 let mut want = Matrix::zeros(dim, dim);
                 serial.apply_right_into(m, &mut want);
                 assert_eq!(unpack(&dst, dim, lanes, b), want, "per-lane lane {b}");

@@ -645,9 +645,9 @@ fn decode_ops(ops: &str, num_qubits: usize) -> Option<Circuit> {
     let mut qubits: Vec<usize> = Vec::with_capacity(2);
     for op in ops.split(';') {
         let (head, operands) = op.split_once(' ')?;
+        params.clear();
         let name = match head.split_once('(') {
             Some((name, args)) => {
-                params.clear();
                 for a in args.strip_suffix(')')?.split(',') {
                     let v: f64 = a.parse().ok()?;
                     if !v.is_finite() {
@@ -657,10 +657,7 @@ fn decode_ops(ops: &str, num_qubits: usize) -> Option<Circuit> {
                 }
                 name
             }
-            None => {
-                params.clear();
-                head
-            }
+            None => head,
         };
         qubits.clear();
         for q in operands.split(',') {

@@ -613,14 +613,13 @@ impl Quest {
                     }
                 }
                 qobs::event!("quest.block_degraded_to_exact", block = i);
-                let target = block.unitary();
                 SynthesizedBlock {
                     qubits: block.qubits().to_vec(),
-                    original_unitary: target.clone(),
+                    original_unitary: block.unitary(),
                     original_cnots: block.circuit().cnot_count(),
                     approximations: vec![BlockApprox {
                         circuit: block.circuit().clone(),
-                        unitary: target,
+                        unitary: block.unitary(),
                         distance: 0.0,
                         cnot_count: block.circuit().cnot_count(),
                     }],
