@@ -54,11 +54,37 @@ fn bench_gradient_eval(c: &mut Criterion) {
     });
 }
 
+/// One-lane cost and gradient on 4-qubit templates as LEAP grows them for
+/// the largest blocks (the shape of nearly every evaluation in a pipeline
+/// run), at 2, 6 and 10 CNOT layers.
+fn bench_gradient_eval_4q(c: &mut Criterion) {
+    use qsynth::Template;
+    let target = qbench::spin::tfim(4, 2, 0.1).unitary();
+    let pairs = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)];
+    let mut group = c.benchmark_group("hs_cost_and_grad_4q");
+    for layers in [2usize, 6, 10] {
+        let template = pairs
+            .iter()
+            .cycle()
+            .take(layers)
+            .fold(Template::initial(4), |t, &(a, b)| t.with_layer(a, b));
+        let cost = qsynth::cost::HsCost::new(&template, &target);
+        let mut ws = cost.workspace();
+        let params: Vec<f64> = (0..cost.num_params()).map(|i| 0.1 * i as f64).collect();
+        let mut grad = vec![0.0; cost.num_params()];
+        group.bench_with_input(BenchmarkId::new("layers", layers), &layers, |b, _| {
+            b.iter(|| cost.cost_and_grad(&mut ws, &params, &mut grad))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_exact_2q,
     bench_two_qubit_consolidation,
     bench_approximate_3q,
-    bench_gradient_eval
+    bench_gradient_eval,
+    bench_gradient_eval_4q
 );
 criterion_main!(benches);

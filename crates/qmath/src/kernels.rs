@@ -475,6 +475,11 @@ pub struct BatchedLocalOp {
     /// Per-lane matrices: entry `(x, y)` of lane `b` at
     /// `(x·MAX_L + y)·MAX_BATCH + b`. Unused (zero) for shared operators.
     lane_mm: [C64; MAX_L * MAX_L * MAX_BATCH],
+    /// For a shared operator, the position of the only nonzero entry of
+    /// each local row (`sole[0][x]`) and column (`sole[1][x]`, the
+    /// transposed orientation's rows), when there is exactly one. `None`
+    /// everywhere for per-lane operators.
+    sole: [[Option<usize>; MAX_L]; 2],
 }
 
 impl BatchedLocalOp {
@@ -493,11 +498,23 @@ impl BatchedLocalOp {
                 shared_mm[x][y] = m[(pl.perm[x], pl.perm[y])];
             }
         }
+        let sole_of = |entries: [C64; MAX_L]| {
+            let mut nonzero = (0..pl.l).filter(|&y| entries[y] != C64::ZERO);
+            match (nonzero.next(), nonzero.next()) {
+                (Some(y), None) => Some(y),
+                _ => None,
+            }
+        };
+        let sole = [
+            std::array::from_fn(|x| sole_of(shared_mm[x])),
+            std::array::from_fn(|x| sole_of(std::array::from_fn(|y| shared_mm[y][x]))),
+        ];
         BatchedLocalOp {
             pl,
             is_shared: true,
             shared_mm,
             lane_mm: [C64::ZERO; MAX_L * MAX_L * MAX_BATCH],
+            sole,
         }
     }
 
@@ -513,6 +530,7 @@ impl BatchedLocalOp {
             is_shared: false,
             shared_mm: [[C64::ZERO; MAX_L]; MAX_L],
             lane_mm: [C64::ZERO; MAX_L * MAX_L * MAX_BATCH],
+            sole: [[None; MAX_L]; 2],
         }
     }
 
@@ -601,9 +619,10 @@ impl BatchedLocalOp {
     /// `2^k` whole rows of each group. The inner loop is therefore a
     /// full-row [`crate::simd::axpy`] (shared operator) or
     /// [`crate::simd::vmla_cyclic`] (per-lane operator) — vectorized at
-    /// *every* lane count, including `lanes == 1`, unlike the per-element
-    /// gather of [`BatchedLocalOp::apply_left_inplace`]. Both buffers are
-    /// `dim²·lanes` stacks and must be distinct.
+    /// every lane count, unlike the per-element gather of
+    /// [`BatchedLocalOp::apply_left_inplace`]. One lane runs fused row
+    /// kernels instead ([`crate::simd::mix2`], [`crate::simd::mul_into`]).
+    /// Both buffers are `dim²·lanes` stacks and must be distinct.
     ///
     /// Bit-identical per lane to [`BatchedLocalOp::apply_left_inplace`]:
     /// each output element accumulates the same terms (`y` ascending,
@@ -641,12 +660,25 @@ impl BatchedLocalOp {
     }
 
     /// Shared body of the row-based left kernels; `transposed` swaps the
-    /// local-matrix index order.
+    /// local-matrix index order. One lane takes the fused kernels of
+    /// [`BatchedLocalOp::left_rows_1`].
     fn left_rows_into(&self, src: &[C64], dst: &mut [C64], lanes: usize, transposed: bool) {
         let dim = self.pl.dim;
         assert!((1..=MAX_BATCH).contains(&lanes), "bad lane count {lanes}");
         assert_eq!(src.len(), dim * dim * lanes, "SoA stack size mismatch");
         assert_eq!(dst.len(), src.len(), "SoA stack size mismatch");
+        if lanes == 1 {
+            #[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
+            {
+                if std::arch::is_x86_feature_detected!("avx") {
+                    // SAFETY: AVX support was just checked.
+                    unsafe { self.left_rows_1_avx(src, dst, transposed) };
+                    return;
+                }
+            }
+            self.left_rows_1(src, dst, transposed);
+            return;
+        }
         let l = self.pl.l;
         let row = dim * lanes;
         for g in 0..(dim >> self.pl.k) {
@@ -654,30 +686,114 @@ impl BatchedLocalOp {
             for x in 0..l {
                 let di = (base | self.pl.soff[x]) * row;
                 let out = &mut dst[di..di + row];
+                if self.is_shared {
+                    self.shared_row_into(out, src, base, x, transposed);
+                    continue;
+                }
                 out.fill(C64::ZERO);
                 for y in 0..l {
-                    let si = (base | self.pl.soff[y]) * row;
-                    let srow = &src[si..si + row];
-                    if self.is_shared {
-                        let c = if transposed {
-                            self.shared_mm[y][x]
-                        } else {
-                            self.shared_mm[x][y]
-                        };
-                        if c == C64::ZERO {
-                            continue;
-                        }
-                        crate::simd::axpy(out, c, srow);
+                    let cb = if transposed {
+                        self.lane_block(y, x, lanes)
                     } else {
-                        let cb = if transposed {
-                            self.lane_block(y, x, lanes)
-                        } else {
-                            self.lane_block(x, y, lanes)
-                        };
-                        crate::simd::vmla_cyclic(out, cb, srow);
+                        self.lane_block(x, y, lanes)
+                    };
+                    let si = (base | self.pl.soff[y]) * row;
+                    crate::simd::vmla_cyclic(out, cb, &src[si..si + row]);
+                }
+            }
+        }
+    }
+
+    /// [`BatchedLocalOp::left_rows_1`] compiled with AVX enabled, so the
+    /// fused kernels' AVX bodies inline into one loop per operator.
+    ///
+    /// # Safety
+    ///
+    /// Caller must guarantee AVX support; the sole call site in
+    /// `left_rows_into` gates on `is_x86_feature_detected!("avx")`.
+    #[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
+    #[target_feature(enable = "avx")]
+    unsafe fn left_rows_1_avx(&self, src: &[C64], dst: &mut [C64], transposed: bool) {
+        self.left_rows_1(src, dst, transposed);
+    }
+
+    /// The one-lane row kernel. A per-lane (1-qubit) operator mixes each
+    /// row pair in one pass ([`crate::simd::mix2`]); a shared operator's row
+    /// with a single nonzero coefficient (every row of a CNOT) is one scaled
+    /// pass ([`crate::simd::mul_into`]), and any other shared row takes the
+    /// generic zero-fill and [`crate::simd::axpy`] chain. Each fused kernel
+    /// computes every element's generic chain bit for bit; see their docs.
+    #[inline(always)]
+    fn left_rows_1(&self, src: &[C64], dst: &mut [C64], transposed: bool) {
+        let dim = self.pl.dim;
+        let groups = (0..(dim >> self.pl.k)).map(|g| self.pl.base(g));
+        if self.is_shared {
+            for base in groups {
+                for x in 0..self.pl.l {
+                    let di = (base | self.pl.soff[x]) * dim;
+                    let out = &mut dst[di..di + dim];
+                    match self.sole[usize::from(transposed)][x] {
+                        Some(y) => {
+                            let c = if transposed {
+                                self.shared_mm[y][x]
+                            } else {
+                                self.shared_mm[x][y]
+                            };
+                            let si = (base | self.pl.soff[y]) * dim;
+                            crate::simd::mul_into(out, c, &src[si..si + dim]);
+                        }
+                        None => self.shared_row_into(out, src, base, x, transposed),
                     }
                 }
             }
+            return;
+        }
+        let m = std::array::from_fn(|x| {
+            std::array::from_fn(|y| {
+                let (r, c) = if transposed { (y, x) } else { (x, y) };
+                self.lane_mm[(r * MAX_L + c) * MAX_BATCH]
+            })
+        });
+        for base in groups {
+            // Per-lane operators are 1-qubit: rows `base` (soff[0] = 0) and
+            // `base | soff[1]`, the latter the higher.
+            let hi = base | self.pl.soff[1];
+            let (d_lo, d_hi) = dst.split_at_mut(hi * dim);
+            crate::simd::mix2(
+                &mut d_lo[base * dim..(base + 1) * dim],
+                &mut d_hi[..dim],
+                m,
+                &src[base * dim..(base + 1) * dim],
+                &src[hi * dim..(hi + 1) * dim],
+            );
+        }
+    }
+
+    /// Output row `x` of group `base` of a shared operator at any width:
+    /// zero-filled, then one [`crate::simd::axpy`] per nonzero coefficient,
+    /// `y` ascending.
+    #[inline(always)]
+    fn shared_row_into(
+        &self,
+        out: &mut [C64],
+        src: &[C64],
+        base: usize,
+        x: usize,
+        transposed: bool,
+    ) {
+        let row = out.len();
+        out.fill(C64::ZERO);
+        for y in 0..self.pl.l {
+            let c = if transposed {
+                self.shared_mm[y][x]
+            } else {
+                self.shared_mm[x][y]
+            };
+            if c == C64::ZERO {
+                continue;
+            }
+            let si = (base | self.pl.soff[y]) * row;
+            crate::simd::axpy(out, c, &src[si..si + row]);
         }
     }
 
@@ -1037,6 +1153,143 @@ mod tests {
                             assert_eq!(g.re.to_bits(), w.re.to_bits(), "({i},{j}) lane {b}");
                             assert_eq!(g.im.to_bits(), w.im.to_bits(), "({i},{j}) lane {b}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The reference the fused kernels must match: the generic row path at
+    /// one lane — each output row zero-filled, then one `axpy` per
+    /// coefficient, `y` ascending (a shared operator skips zeros).
+    fn generic_rows_1(op: &BatchedLocalOp, src: &[C64], transposed: bool) -> Vec<C64> {
+        let dim = op.pl.dim;
+        let mut dst = vec![C64::ZERO; src.len()];
+        for g in 0..(dim >> op.pl.k) {
+            let base = op.pl.base(g);
+            for x in 0..op.pl.l {
+                let di = (base | op.pl.soff[x]) * dim;
+                let out = &mut dst[di..di + dim];
+                out.fill(C64::ZERO);
+                for y in 0..op.pl.l {
+                    let (r, c) = if transposed { (y, x) } else { (x, y) };
+                    let coeff = if op.is_shared {
+                        op.shared_mm[r][c]
+                    } else {
+                        op.lane_mm[(r * MAX_L + c) * MAX_BATCH]
+                    };
+                    if op.is_shared && coeff == C64::ZERO {
+                        continue;
+                    }
+                    let si = (base | op.pl.soff[y]) * dim;
+                    crate::simd::axpy(out, coeff, &src[si..si + dim]);
+                }
+            }
+        }
+        dst
+    }
+
+    /// Every operator shape the width-1 kernels dispatch on, at every 1-
+    /// and 2-qubit placement of up to four qubits: per-lane 1-qubit gates
+    /// (fused row pairs), permutation gates (single-coefficient rows) and
+    /// shared gates with rows of one and of several nonzeros.
+    fn width1_cases() -> Vec<(String, BatchedLocalOp)> {
+        use crate::simd::tests::special;
+        let (o, l, i) = (C64::ZERO, C64::ONE, C64::new(0.0, 1.0));
+        let v = special(16, 2);
+        let mut cases = Vec::new();
+        for n in 1..=4usize {
+            for q in 0..n {
+                for salt in [0usize, 4, 8] {
+                    let mut op = BatchedLocalOp::per_lane_1q(q, n);
+                    let e = special(4, salt);
+                    op.set_lane_1q(0, &[[e[0], e[1]], [e[2], e[3]]]);
+                    cases.push((format!("u3 q{q} n{n} salt {salt}"), op));
+                }
+                let one_zero = Matrix::from_rows(&[&[v[0], o], &[v[1], v[7]]]);
+                let x = Matrix::from_rows(&[&[o, i], &[l, o]]);
+                for (name, m) in [("one-zero", one_zero), ("x", x)] {
+                    cases.push((
+                        format!("{name} q{q} n{n}"),
+                        BatchedLocalOp::shared(&m, &[q], n),
+                    ));
+                }
+                for p in (0..n).filter(|&p| p != q) {
+                    let mut sparse = cnot_gate();
+                    sparse[(0, 1)] = v[4];
+                    sparse[(3, 0)] = v[6];
+                    let mut perm = Matrix::zeros(4, 4);
+                    for (r, c) in [(0, 2), (1, 0), (2, 3), (3, 1)] {
+                        perm[(r, c)] = v[r + 7];
+                    }
+                    for (name, m) in [("cnot", cnot_gate()), ("sparse", sparse), ("perm", perm)] {
+                        cases.push((
+                            format!("{name} q{q},{p} n{n}"),
+                            BatchedLocalOp::shared(&m, &[q, p], n),
+                        ));
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn fused_width1_kernels_match_generic_rows_bitwise() {
+        use crate::simd::tests::{same, special};
+        for (name, op) in width1_cases() {
+            let dim = op.dim();
+            let src = special(dim * dim, dim);
+            for transposed in [false, true] {
+                let want = generic_rows_1(&op, &src, transposed);
+                // Garbage in the output must be overwritten everywhere.
+                let mut got = special(dim * dim, 5);
+                if transposed {
+                    op.apply_left_transposed_into(&src, &mut got, 1);
+                } else {
+                    op.apply_left_into(&src, &mut got, 1);
+                }
+                for (e, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        same(g, w),
+                        "{name} transposed {transposed} e {e}: {g:?} vs {w:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_width1_kernels_match_generic_lanes_bitwise() {
+        // Width 1 (fused) against both lanes of width 2 (the generic
+        // `vmla_cyclic`/`axpy` rows) holding the same matrix and operator.
+        use crate::simd::tests::{same, special};
+        for (name, mut op) in width1_cases() {
+            let dim = op.dim();
+            if !op.is_shared {
+                let e = op.lane_mm;
+                for x in 0..2 {
+                    for y in 0..2 {
+                        op.lane_mm[(x * MAX_L + y) * MAX_BATCH + 1] =
+                            e[(x * MAX_L + y) * MAX_BATCH];
+                    }
+                }
+            }
+            let src = special(dim * dim, 3);
+            let src2: Vec<C64> = src.iter().flat_map(|&z| [z, z]).collect();
+            for transposed in [false, true] {
+                let (mut one, mut two) = (vec![C64::ZERO; src.len()], vec![C64::ZERO; src2.len()]);
+                if transposed {
+                    op.apply_left_transposed_into(&src, &mut one, 1);
+                    op.apply_left_transposed_into(&src2, &mut two, 2);
+                } else {
+                    op.apply_left_into(&src, &mut one, 1);
+                    op.apply_left_into(&src2, &mut two, 2);
+                }
+                for (e, &g) in one.iter().enumerate() {
+                    for b in 0..2 {
+                        let w = two[2 * e + b];
+                        assert!(same(g, w), "{name} transposed {transposed} e {e} lane {b}");
                     }
                 }
             }

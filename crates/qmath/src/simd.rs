@@ -12,6 +12,12 @@
 //!   ([`crate::kernels::BatchedLocalOp`]), where each SIMD lane carries a
 //!   different optimizer start with its own gate entries.
 //!
+//! One optimizer start (one lane) runs fused kernels built from the same
+//! step: [`mix2`] and [`mul_into`] write a gate's output rows in one pass,
+//! and [`dot2x4`] and [`dtrace3`] run independent sums side by side. Each
+//! keeps every element's operation sequence, so each is bit-identical to
+//! the `axpy`/`vmla` loop it replaces.
+//!
 //! Each index `j` is an independent accumulation chain, so processing
 //! elements in SIMD lanes cannot reassociate any floating-point sum — only
 //! the per-element operation sequence matters for reproducibility.
@@ -120,16 +126,14 @@ pub fn vmla(acc: &mut [C64], a: &[C64], row: &[C64]) {
 /// `acc[j] += a[j mod a.len()] * row[j]` — [`vmla`] with a coefficient
 /// block that repeats cyclically with period `a.len()`.
 ///
-/// This is the row-based batched-kernel inner loop: a lane-major SoA row of
-/// `dim` elements × `lanes` lanes is one contiguous slice of `dim·lanes`
-/// complexes, and multiplying it by a per-lane gate entry applies the same
-/// `lanes` coefficients to every element. At `lanes == 1` the block is a
-/// single coefficient and the whole row runs through [`axpy`]'s full-width
-/// vector path — the reason narrow batches stay fast.
+/// This is the row-based batched-kernel inner loop at two or more lanes: a
+/// lane-major SoA row of `dim` elements × `lanes` lanes is one contiguous
+/// slice of `dim·lanes` complexes, and multiplying it by a per-lane gate
+/// entry applies the same `lanes` coefficients to every element. One lane
+/// takes the fused width-1 kernels ([`mix2`]) instead.
 ///
 /// Bit-exactness: element `j`'s accumulation chain is identical to
-/// `vmla(acc, repeat(a), row)` (and, for `a.len() == 1`, to
-/// `axpy(acc, a[0], row)`) in both numerics modes.
+/// `vmla(acc, repeat(a), row)` in both numerics modes.
 ///
 /// # Panics
 ///
@@ -138,10 +142,6 @@ pub fn vmla(acc: &mut [C64], a: &[C64], row: &[C64]) {
 pub fn vmla_cyclic(acc: &mut [C64], a: &[C64], row: &[C64]) {
     let lanes = a.len();
     assert!(lanes >= 1, "empty coefficient block");
-    if lanes == 1 {
-        axpy(acc, a[0], row);
-        return;
-    }
     let n = acc.len().min(row.len());
     let mut i = 0;
     while i < n {
@@ -151,81 +151,365 @@ pub fn vmla_cyclic(acc: &mut [C64], a: &[C64], row: &[C64]) {
     }
 }
 
-/// Two simultaneous complex dot products sharing one coefficient row:
-/// returns `(Σ_j w[j]·s0[j], Σ_j w[j]·s1[j])` over the common prefix, each
-/// accumulated in ascending `j` order from `+0.0` with the mode's
-/// multiply-accumulate step (coefficient `w[j]` in the first operand slot).
+/// A 2×2 mix of two rows into two rows, in one pass:
 ///
-/// This is the width-1 fast path of the reduced-`Q` sweep: at one lane the
-/// per-element [`vmla`] blocks degenerate to single scalar steps buried in
-/// slice plumbing, while here both independent accumulation chains live in
-/// registers across the whole row. Bit-identical to the equivalent `vmla`
-/// loop in both numerics modes.
+/// ```text
+/// o0[j] = (0 + m[0][0]·r0[j]) + m[0][1]·r1[j]
+/// o1[j] = (0 + m[1][0]·r0[j]) + m[1][1]·r1[j]
+/// ```
+///
+/// over the common prefix of the four rows. This is the width-1 kernel of a
+/// 1-qubit gate: each pair of rows is loaded once and both outputs are
+/// written once, where the generic row path zero-fills each output and then
+/// re-reads and re-writes it once per source row ([`axpy`]).
+///
+/// Bit-exactness: each element runs the generic path's sequence — a
+/// multiply-accumulate of `m[x][0]·r0[j]` onto `+0.0`, then one of
+/// `m[x][1]·r1[j]` — with the same operands in the same slots, so the result
+/// equals `o.fill(0); axpy(o, m[x][0], r0); axpy(o, m[x][1], r1)` bit for
+/// bit, signs of zeros included (the `0 +` turns a `−0.0` product into
+/// `+0.0`, as the zero-filled accumulator does). Under `simd-relaxed` it runs
+/// exactly that generic sequence.
 #[inline]
-pub fn dot2(w: &[C64], s0: &[C64], s1: &[C64]) -> (C64, C64) {
+pub fn mix2(o0: &mut [C64], o1: &mut [C64], m: [[C64; 2]; 2], r0: &[C64], r1: &[C64]) {
     #[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
     {
-        if !w.is_empty() && std::arch::is_x86_feature_detected!("avx") {
+        if std::arch::is_x86_feature_detected!("avx") {
             // SAFETY: AVX support was just checked.
-            return unsafe { dot2_avx(w, s0, s1) };
+            unsafe { mix2_avx(o0, o1, m, r0, r1) };
+            return;
         }
     }
-    dot2_scalar(w, s0, s1)
+    #[cfg(feature = "simd-relaxed")]
+    {
+        for (o, c) in [(o0, m[0]), (o1, m[1])] {
+            o.fill(C64::ZERO);
+            axpy(o, c[0], r0);
+            axpy(o, c[1], r1);
+        }
+    }
+    #[cfg(not(feature = "simd-relaxed"))]
+    mix2_scalar(o0, o1, m, r0, r1);
+}
+
+#[cfg(not(feature = "simd-relaxed"))]
+#[inline]
+fn mix2_scalar(o0: &mut [C64], o1: &mut [C64], m: [[C64; 2]; 2], r0: &[C64], r1: &[C64]) {
+    for (((y0, y1), &a), &b) in o0.iter_mut().zip(o1.iter_mut()).zip(r0).zip(r1) {
+        *y0 = mla_step(mla_step(C64::ZERO, m[0][0], a), m[0][1], b);
+        *y1 = mla_step(mla_step(C64::ZERO, m[1][0], a), m[1][1], b);
+    }
+}
+
+/// Strict AVX path of [`mix2`]: per pair of complexes, the two source rows
+/// are loaded and swapped once, and each output is
+/// `add(add(0, addsub(mul(a, c0.re), mul(a', c0.im))), addsub(mul(b, c1.re),
+/// mul(b', c1.im)))` — [`axpy_avx`]'s operation sequence and operand order,
+/// twice, with the accumulator held in a register instead of memory.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX support; the sole call site in [`mix2`] gates
+/// on `is_x86_feature_detected!("avx")`. Pointer arithmetic stays within the
+/// common prefix of the four slices.
+#[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
+#[target_feature(enable = "avx")]
+unsafe fn mix2_avx(o0: &mut [C64], o1: &mut [C64], m: [[C64; 2]; 2], r0: &[C64], r1: &[C64]) {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute_pd,
+        _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+    };
+    let n = o0.len().min(o1.len()).min(r0.len()).min(r1.len());
+    let zero = _mm256_setzero_pd();
+    // c[x][y] = (m[x][y].re, m[x][y].im), each broadcast to all four slots.
+    let mut c = [[(zero, zero); 2]; 2];
+    for x in 0..2 {
+        for y in 0..2 {
+            c[x][y] = (_mm256_set1_pd(m[x][y].re), _mm256_set1_pd(m[x][y].im));
+        }
+    }
+    // SAFETY: C64 is `repr(C)` with two f64 fields; every offset below stays
+    // within the common prefix checked against `n`.
+    let (p0, p1) = (o0.as_mut_ptr().cast::<f64>(), o1.as_mut_ptr().cast::<f64>());
+    let (a_p, b_p) = (r0.as_ptr().cast::<f64>(), r1.as_ptr().cast::<f64>());
+    let mut i = 0;
+    while i + 2 <= n {
+        let a = _mm256_loadu_pd(a_p.add(2 * i));
+        let b = _mm256_loadu_pd(b_p.add(2 * i));
+        let a_s = _mm256_permute_pd(a, 0b0101);
+        let b_s = _mm256_permute_pd(b, 0b0101);
+        for (x, p) in [p0, p1].into_iter().enumerate() {
+            let ((c0_re, c0_im), (c1_re, c1_im)) = (c[x][0], c[x][1]);
+            let pa = _mm256_addsub_pd(_mm256_mul_pd(a, c0_re), _mm256_mul_pd(a_s, c0_im));
+            let pb = _mm256_addsub_pd(_mm256_mul_pd(b, c1_re), _mm256_mul_pd(b_s, c1_im));
+            _mm256_storeu_pd(p.add(2 * i), _mm256_add_pd(_mm256_add_pd(zero, pa), pb));
+        }
+        i += 2;
+    }
+    if i < n {
+        mix2_scalar(&mut o0[i..n], &mut o1[i..n], m, &r0[i..n], &r1[i..n]);
+    }
+}
+
+/// `o[j] = 0 + c·r[j]` over the common prefix, in one pass: the width-1
+/// kernel of a row with a single nonzero coefficient (every row of a
+/// permutation gate such as CNOT, where `c = 1`).
+///
+/// Bit-exactness: equal to `o.fill(0); axpy(o, c, r)` bit for bit. This is
+/// deliberately *not* a copy even when `c = 1`: the product `1·r` is
+/// `(1·r.re − 0·r.im, 1·r.im + 0·r.re)`, which turns `−0.0` into `+0.0`
+/// and `±inf` into NaN in the other component, and adding the product to
+/// `+0.0` turns a `−0.0` into `+0.0` again. Under `simd-relaxed` it runs
+/// exactly that generic sequence.
+#[inline]
+pub fn mul_into(o: &mut [C64], c: C64, r: &[C64]) {
+    #[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
+    {
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: AVX support was just checked.
+            unsafe { mul_into_avx(o, c, r) };
+            return;
+        }
+    }
+    #[cfg(feature = "simd-relaxed")]
+    {
+        o.fill(C64::ZERO);
+        axpy(o, c, r);
+    }
+    #[cfg(not(feature = "simd-relaxed"))]
+    mul_into_scalar(o, c, r);
+}
+
+#[cfg(not(feature = "simd-relaxed"))]
+#[inline]
+fn mul_into_scalar(o: &mut [C64], c: C64, r: &[C64]) {
+    for (y, &v) in o.iter_mut().zip(r) {
+        *y = mla_step(C64::ZERO, c, v);
+    }
+}
+
+/// Strict AVX path of [`mul_into`]: [`axpy_avx`]'s sequence with a zero
+/// register in place of the loaded accumulator.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX support; the sole call site in [`mul_into`]
+/// gates on `is_x86_feature_detected!("avx")`. Pointer arithmetic stays
+/// within the common prefix of the two slices.
+#[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
+#[target_feature(enable = "avx")]
+unsafe fn mul_into_avx(o: &mut [C64], c: C64, r: &[C64]) {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute_pd,
+        _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+    };
+    let n = o.len().min(r.len());
+    let (c_re, c_im) = (_mm256_set1_pd(c.re), _mm256_set1_pd(c.im));
+    let zero = _mm256_setzero_pd();
+    // SAFETY: as in `axpy_avx` — C64 is repr(C) { re: f64, im: f64 }, and
+    // every offset below stays within the common prefix `n`.
+    let op = o.as_mut_ptr().cast::<f64>();
+    let rp = r.as_ptr().cast::<f64>();
+    let mut i = 0;
+    while i + 2 <= n {
+        let v = _mm256_loadu_pd(rp.add(2 * i));
+        let vs = _mm256_permute_pd(v, 0b0101);
+        let prod = _mm256_addsub_pd(_mm256_mul_pd(v, c_re), _mm256_mul_pd(vs, c_im));
+        _mm256_storeu_pd(op.add(2 * i), _mm256_add_pd(zero, prod));
+        i += 2;
+    }
+    if i < n {
+        mul_into_scalar(&mut o[i..n], c, &r[i..n]);
+    }
+}
+
+/// Four rows' pairs of complex dot products, run side by side: entry `k`
+/// of the result is `[Σ_j w[k][j]·s0[k][j], Σ_j w[k][j]·s1[k][j]]` over the
+/// common prefix of row `k`'s three slices, each sum accumulated in
+/// ascending `j` from `+0.0` with the mode's multiply-accumulate step
+/// (coefficient `w[k][j]` in the first operand slot).
+///
+/// This is the width-1 reduced-`Q` sweep. A single dot product is one
+/// loop-carried `add` chain, bound by the adder's latency; the eight chains
+/// here are independent, so running them together keeps the adder busy.
+/// Each chain keeps its own order, so every sum is bit-identical to the one
+/// a per-step `vmla` loop over that row produces.
+#[inline]
+pub fn dot2x4(w: [&[C64]; 4], s0: [&[C64]; 4], s1: [&[C64]; 4]) -> [[C64; 2]; 4] {
+    #[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
+    {
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: AVX support was just checked.
+            return unsafe { dot2x4_avx(w, s0, s1) };
+        }
+    }
+    std::array::from_fn(|k| dot2_scalar(w[k], s0[k], s1[k]))
 }
 
 #[inline]
-fn dot2_scalar(w: &[C64], s0: &[C64], s1: &[C64]) -> (C64, C64) {
+fn dot2_scalar(w: &[C64], s0: &[C64], s1: &[C64]) -> [C64; 2] {
     let mut a0 = C64::ZERO;
     let mut a1 = C64::ZERO;
     for ((&wj, &x0), &x1) in w.iter().zip(s0).zip(s1) {
         a0 = mla_step(a0, wj, x0);
         a1 = mla_step(a1, wj, x1);
     }
-    (a0, a1)
+    [a0, a1]
 }
 
-/// Strict AVX path of [`dot2`]: both chains ride in one 256-bit accumulator
-/// (`[a0.re, a0.im, a1.re, a1.im]`); each step broadcasts the shared
-/// coefficient and issues the exact unfused `mul`/`mul`/`addsub`/`add`
-/// sequence of [`axpy_avx`], so every element of each chain is bit-identical
-/// to [`dot2_scalar`]. No tail: one iteration handles one `j` of both
-/// chains.
+/// Strict AVX path of [`dot2x4`]: row `k`'s two chains ride in one 256-bit
+/// accumulator (`[a0.re, a0.im, a1.re, a1.im]`), four accumulators in
+/// flight. Each step broadcasts the shared coefficient and issues
+/// [`axpy_avx`]'s unfused `mul`/`mul`/`addsub`/`add` sequence in its
+/// operand order, so every chain is bit-identical to [`dot2_scalar`]. Rows
+/// of unequal length fall back to the scalar chains.
 ///
 /// # Safety
 ///
-/// Caller must guarantee AVX support; the sole call site in [`dot2`] gates
-/// on `is_x86_feature_detected!("avx")`. Pointer arithmetic stays within
-/// the common prefix of the three slices.
+/// Caller must guarantee AVX support; the sole call site in [`dot2x4`]
+/// gates on `is_x86_feature_detected!("avx")`. Pointer arithmetic stays
+/// within each row's common prefix, which all rows share.
 #[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
 #[target_feature(enable = "avx")]
-unsafe fn dot2_avx(w: &[C64], s0: &[C64], s1: &[C64]) -> (C64, C64) {
+unsafe fn dot2x4_avx(w: [&[C64]; 4], s0: [&[C64]; 4], s1: [&[C64]; 4]) -> [[C64; 2]; 4] {
     use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_addsub_pd, _mm256_broadcast_sd, _mm256_castpd256_pd128,
-        _mm256_extractf128_pd, _mm256_loadu2_m128d, _mm256_mul_pd, _mm256_permute_pd,
-        _mm256_setzero_pd, _mm_storeu_pd,
+        _mm256_add_pd, _mm256_addsub_pd, _mm256_broadcast_sd, _mm256_loadu2_m128d, _mm256_mul_pd,
+        _mm256_permute_pd, _mm256_setzero_pd, _mm256_storeu_pd,
     };
-    let n = w.len().min(s0.len()).min(s1.len());
-    // SAFETY: C64 is `repr(C)` with two f64 fields; every offset below
-    // stays within the common prefix checked against `n`.
-    let wp = w.as_ptr().cast::<f64>();
-    let p0 = s0.as_ptr().cast::<f64>();
-    let p1 = s1.as_ptr().cast::<f64>();
-    let mut acc = _mm256_setzero_pd();
-    for j in 0..n {
-        // r = [s0[j], s1[j]] — low half chain 0, high half chain 1.
-        let r = _mm256_loadu2_m128d(p1.add(2 * j), p0.add(2 * j));
-        let w_re = _mm256_broadcast_sd(&*wp.add(2 * j));
-        let w_im = _mm256_broadcast_sd(&*wp.add(2 * j + 1));
-        let t1 = _mm256_mul_pd(r, w_re);
-        let rs = _mm256_permute_pd(r, 0b0101);
-        let t2 = _mm256_mul_pd(rs, w_im);
-        acc = _mm256_add_pd(acc, _mm256_addsub_pd(t1, t2));
+    let lens: [usize; 4] = std::array::from_fn(|k| w[k].len().min(s0[k].len()).min(s1[k].len()));
+    let n = lens[0];
+    if lens.iter().any(|&l| l != n) {
+        return std::array::from_fn(|k| dot2_scalar(w[k], s0[k], s1[k]));
     }
-    let mut out = [C64::ZERO; 2];
+    // SAFETY: C64 is `repr(C)` with two f64 fields; every offset below
+    // stays within the common prefix `n` of every row.
+    let wp = w.map(|r| r.as_ptr().cast::<f64>());
+    let p0 = s0.map(|r| r.as_ptr().cast::<f64>());
+    let p1 = s1.map(|r| r.as_ptr().cast::<f64>());
+    let mut acc = [_mm256_setzero_pd(); 4];
+    for j in 0..n {
+        for k in 0..4 {
+            // r = [s0[j], s1[j]] — low half chain 0, high half chain 1.
+            let r = _mm256_loadu2_m128d(p1[k].add(2 * j), p0[k].add(2 * j));
+            let w_re = _mm256_broadcast_sd(&*wp[k].add(2 * j));
+            let w_im = _mm256_broadcast_sd(&*wp[k].add(2 * j + 1));
+            let t1 = _mm256_mul_pd(r, w_re);
+            let t2 = _mm256_mul_pd(_mm256_permute_pd(r, 0b0101), w_im);
+            acc[k] = _mm256_add_pd(acc[k], _mm256_addsub_pd(t1, t2));
+        }
+    }
+    let mut out = [[C64::ZERO; 2]; 4];
+    for (o, a) in out.iter_mut().zip(acc) {
+        _mm256_storeu_pd(o.as_mut_ptr().cast::<f64>(), a);
+    }
+    out
+}
+
+/// The three derivative traces of a 1-qubit gate against a reduced matrix:
+/// entry `k` of the result is
+///
+/// ```text
+/// Σ_i Σ_x dg[k][x][(i >> shift) & 1] · q[2i + x]
+/// ```
+///
+/// over `i < q.len() / 2`, each sum accumulated in ascending `(i, x)` order
+/// from `+0.0` with the mode's multiply-accumulate step (the `dg` entry in
+/// the first operand slot). Here `q[2i + x]` is entry `(i, base_i | x·2^shift)`
+/// of `Q`, so each sum is `Tr(Q·∂G_k)` of a gate on the qubit at bit `shift`.
+///
+/// This is the width-1 derivative step of the synthesis gradient. The three
+/// chains are independent: the AVX path runs the first two in one register
+/// and the third beside it, so each `q` entry is loaded once per step and
+/// the chains wait on the adder together instead of one after another.
+/// Every chain is bit-identical to its scalar sum.
+#[inline]
+pub fn dtrace3(dg: &[[[C64; 2]; 2]; 3], q: &[C64], shift: usize) -> [C64; 3] {
+    #[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
+    {
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: AVX support was just checked.
+            return unsafe { dtrace3_avx(dg, q, shift) };
+        }
+    }
+    dtrace3_scalar(dg, q, shift)
+}
+
+#[inline]
+fn dtrace3_scalar(dg: &[[[C64; 2]; 2]; 3], q: &[C64], shift: usize) -> [C64; 3] {
+    let mut acc = [C64::ZERO; 3];
+    for (i, qi) in q.chunks_exact(2).enumerate() {
+        let y = (i >> shift) & 1;
+        for (x, &qx) in qi.iter().enumerate() {
+            for (a, d) in acc.iter_mut().zip(dg) {
+                *a = mla_step(*a, d[x][y], qx);
+            }
+        }
+    }
+    acc
+}
+
+/// Strict AVX path of [`dtrace3`]: chains 0 and 1 share one 256-bit
+/// accumulator, chain 2 rides in a 128-bit one. Each step duplicates the
+/// `q` entry into both halves and issues [`vmla_avx`]'s unfused
+/// `mul`/`mul`/`addsub`/`add` sequence in its operand order, so every chain
+/// is bit-identical to [`dtrace3_scalar`].
+///
+/// # Safety
+///
+/// Caller must guarantee AVX support; the sole call site in [`dtrace3`]
+/// gates on `is_x86_feature_detected!("avx")`. Pointer arithmetic stays
+/// within `q`'s whole pairs.
+#[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
+#[target_feature(enable = "avx")]
+unsafe fn dtrace3_avx(dg: &[[[C64; 2]; 2]; 3], q: &[C64], shift: usize) -> [C64; 3] {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_addsub_pd, _mm256_castpd256_pd128, _mm256_loadu2_m128d,
+        _mm256_mul_pd, _mm256_permute_pd, _mm256_setr_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+        _mm_add_pd, _mm_addsub_pd, _mm_mul_pd, _mm_set1_pd, _mm_setzero_pd, _mm_storeu_pd,
+    };
+    // Coefficients of step (x, y), re and im parts duplicated per complex:
+    // chains 0 and 1 as one 256-bit pair, chain 2 as one 128-bit value.
+    let (z4, z2) = (_mm256_setzero_pd(), _mm_setzero_pd());
+    let mut c01 = [[(z4, z4); 2]; 2];
+    let mut c2 = [[(z2, z2); 2]; 2];
+    for x in 0..2 {
+        for y in 0..2 {
+            let (d0, d1, d2) = (dg[0][x][y], dg[1][x][y], dg[2][x][y]);
+            c01[x][y] = (
+                _mm256_setr_pd(d0.re, d0.re, d1.re, d1.re),
+                _mm256_setr_pd(d0.im, d0.im, d1.im, d1.im),
+            );
+            c2[x][y] = (_mm_set1_pd(d2.re), _mm_set1_pd(d2.im));
+        }
+    }
+    let (mut acc01, mut acc2) = (z4, z2);
+    // SAFETY: C64 is `repr(C)` with two f64 fields; `2·(2i + x) + 1` stays
+    // below `2·q.len()` for every `i < q.len() / 2`.
+    let qp = q.as_ptr().cast::<f64>();
+    for i in 0..q.len() / 2 {
+        let y = (i >> shift) & 1;
+        for (x, (c01x, c2x)) in c01.iter().zip(&c2).enumerate() {
+            let (a01_re, a01_im) = c01x[y];
+            let (a2_re, a2_im) = c2x[y];
+            let p = qp.add(2 * (2 * i + x));
+            // r = [q, q]: both halves hold the same entry.
+            let r = _mm256_loadu2_m128d(p, p);
+            let rs = _mm256_permute_pd(r, 0b0101);
+            let t1 = _mm256_mul_pd(r, a01_re);
+            let t2 = _mm256_mul_pd(rs, a01_im);
+            acc01 = _mm256_add_pd(acc01, _mm256_addsub_pd(t1, t2));
+            let (r2, rs2) = (_mm256_castpd256_pd128(r), _mm256_castpd256_pd128(rs));
+            acc2 = _mm_add_pd(
+                acc2,
+                _mm_addsub_pd(_mm_mul_pd(r2, a2_re), _mm_mul_pd(rs2, a2_im)),
+            );
+        }
+    }
+    let mut out = [C64::ZERO; 3];
     let op = out.as_mut_ptr().cast::<f64>();
-    _mm_storeu_pd(op, _mm256_castpd256_pd128(acc));
-    _mm_storeu_pd(op.add(2), _mm256_extractf128_pd(acc, 1));
-    (out[0], out[1])
+    _mm256_storeu_pd(op, acc01);
+    _mm_storeu_pd(op.add(4), acc2);
+    out
 }
 
 /// One complex multiply-accumulate `acc + a·r` in the mode this build was
@@ -516,7 +800,7 @@ unsafe fn vmla_avx512(acc: &mut [C64], a: &[C64], row: &[C64]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn awkward(len: usize, salt: usize) -> Vec<C64> {
@@ -607,25 +891,163 @@ mod tests {
         }
     }
 
+    /// Values the fused kernels must carry exactly like the generic path:
+    /// signed zeros, subnormals, infinities, NaN and ordinary numbers.
+    pub(crate) fn special(len: usize, salt: usize) -> Vec<C64> {
+        let vals = [
+            C64::new(-0.0, 0.0),
+            C64::new(0.0, -0.0),
+            C64::new(-0.0, -0.0),
+            C64::new(5e-324, -2.5e-310),
+            C64::new(f64::INFINITY, 1.0),
+            C64::new(-0.75, f64::NEG_INFINITY),
+            C64::new(f64::NAN, 0.5),
+            C64::new(1.5, -2.25),
+            C64::new(std::f64::consts::PI, 1e-12),
+            C64::new(-3.5e5, -0.0),
+            C64::new(1e308, 1e-308),
+        ];
+        (0..len)
+            .map(|i| vals[(i * 7 + salt) % vals.len()])
+            .collect()
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: Rust leaves the
+    /// payload of a NaN result unspecified, so only its NaN-ness is part of
+    /// the contract.
+    pub(crate) fn same(g: C64, w: C64) -> bool {
+        let eq = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        eq(g.re, w.re) && eq(g.im, w.im)
+    }
+
     #[test]
-    fn dot2_matches_single_element_vmla_chain() {
-        // dot2 is bitwise the same pair of accumulation chains a per-step
-        // width-1 vmla loop produces.
-        for len in [0usize, 1, 2, 7, 16] {
-            let w = awkward(len, 0);
-            let s0 = awkward(len, 1);
-            let s1 = awkward(len, 2);
-            let (a0, a1) = dot2(&w, &s0, &s1);
-            let mut w0 = [C64::ZERO];
-            let mut w1 = [C64::ZERO];
-            for j in 0..len {
-                vmla(&mut w0, &w[j..=j], &s0[j..=j]);
-                vmla(&mut w1, &w[j..=j], &s1[j..=j]);
+    fn mix2_matches_fill_and_axpy_bitwise() {
+        for len in [0usize, 1, 2, 3, 16, 17] {
+            for salt in 0..11 {
+                let (r0, r1) = (special(len, salt), special(len, salt + 3));
+                let m = [
+                    [special(1, salt + 5)[0], C64::new(0.6, -1.75)],
+                    [C64::ONE, special(1, salt + 8)[0]],
+                ];
+                let (mut o0, mut o1) = (special(len, 1), special(len, 2));
+                mix2(&mut o0, &mut o1, m, &r0, &r1);
+                for (o, c) in [(&o0, m[0]), (&o1, m[1])] {
+                    let mut want = special(len, 4);
+                    want.fill(C64::ZERO);
+                    axpy(&mut want, c[0], &r0);
+                    axpy(&mut want, c[1], &r1);
+                    for (j, (&g, &w)) in o.iter().zip(&want).enumerate() {
+                        assert!(same(g, w), "len {len} salt {salt} j {j}: {g:?} vs {w:?}");
+                    }
+                }
             }
-            assert_eq!(a0.re.to_bits(), w0[0].re.to_bits(), "len {len}");
-            assert_eq!(a0.im.to_bits(), w0[0].im.to_bits(), "len {len}");
-            assert_eq!(a1.re.to_bits(), w1[0].re.to_bits(), "len {len}");
-            assert_eq!(a1.im.to_bits(), w1[0].im.to_bits(), "len {len}");
+        }
+    }
+
+    #[test]
+    fn mul_into_matches_fill_and_axpy_bitwise() {
+        for len in [0usize, 1, 2, 5, 16] {
+            for salt in 0..11 {
+                let r = special(len, salt);
+                for c in [C64::ONE, C64::new(0.0, -1.0), special(1, salt + 2)[0]] {
+                    let mut got = special(len, 6);
+                    mul_into(&mut got, c, &r);
+                    let mut want = vec![C64::ZERO; len];
+                    axpy(&mut want, c, &r);
+                    for (j, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                        assert!(same(g, w), "len {len} c {c:?} j {j}: {g:?} vs {w:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mul_into_by_one_is_not_a_copy() {
+        // 1·(−0, −0) accumulated onto +0 is (+0, +0): a raw copy would keep
+        // the signs.
+        for len in [1usize, 2, 3] {
+            let mut o = vec![C64::ONE; len];
+            mul_into(&mut o, C64::ONE, &vec![C64::new(-0.0, -0.0); len]);
+            for z in o {
+                assert_eq!(z.re.to_bits(), 0.0f64.to_bits(), "len {len}");
+                assert_eq!(z.im.to_bits(), 0.0f64.to_bits(), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn dot2x4_matches_single_element_vmla_chains() {
+        for len in [0usize, 1, 2, 7, 16] {
+            for salt in 0..11 {
+                let w: Vec<Vec<C64>> = (0..4).map(|k| special(len, salt + k)).collect();
+                let s0: Vec<Vec<C64>> = (0..4).map(|k| special(len, salt + 4 + k)).collect();
+                let s1: Vec<Vec<C64>> = (0..4).map(|k| awkward(len, salt + k)).collect();
+                let got = dot2x4(
+                    std::array::from_fn(|k| &w[k][..]),
+                    std::array::from_fn(|k| &s0[k][..]),
+                    std::array::from_fn(|k| &s1[k][..]),
+                );
+                for k in 0..4 {
+                    let mut want = [[C64::ZERO], [C64::ZERO]];
+                    for j in 0..len {
+                        vmla(&mut want[0], &w[k][j..=j], &s0[k][j..=j]);
+                        vmla(&mut want[1], &w[k][j..=j], &s1[k][j..=j]);
+                    }
+                    for x in 0..2 {
+                        assert!(same(got[k][x], want[x][0]), "len {len} salt {salt} row {k}");
+                    }
+                }
+            }
+        }
+        // Rows of unequal length each keep their own common prefix.
+        let (a, b) = (awkward(5, 0), awkward(3, 1));
+        let (w, s0, s1) = (
+            [&a[..], &b, &a, &a],
+            [&a[..], &a, &b, &a],
+            [&a[..], &a, &a, &b],
+        );
+        let got = dot2x4(w, s0, s1);
+        for k in 0..4 {
+            let n = w[k].len().min(s0[k].len()).min(s1[k].len());
+            let mut want = [[C64::ZERO], [C64::ZERO]];
+            for j in 0..n {
+                vmla(&mut want[0], &w[k][j..=j], &s0[k][j..=j]);
+                vmla(&mut want[1], &w[k][j..=j], &s1[k][j..=j]);
+            }
+            assert!(
+                same(got[k][0], want[0][0]) && same(got[k][1], want[1][0]),
+                "row {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn dtrace3_matches_vmla_chains() {
+        for dim in [2usize, 4, 8, 16] {
+            for shift in 0..dim.trailing_zeros() as usize {
+                for salt in 0..11 {
+                    let q = special(2 * dim, salt);
+                    let flat = special(12, salt + 5);
+                    let dg: [[[C64; 2]; 2]; 3] = std::array::from_fn(|k| {
+                        std::array::from_fn(|x| std::array::from_fn(|y| flat[k * 4 + x * 2 + y]))
+                    });
+                    let got = dtrace3(&dg, &q, shift);
+                    for (k, d) in dg.iter().enumerate() {
+                        let mut want = [C64::ZERO];
+                        for i in 0..dim {
+                            for x in 0..2 {
+                                let c = [d[x][(i >> shift) & 1]];
+                                vmla(&mut want, &c, &q[2 * i + x..=2 * i + x]);
+                            }
+                        }
+                        assert!(
+                            same(got[k], want[0]),
+                            "dim {dim} shift {shift} salt {salt} k {k}"
+                        );
+                    }
+                }
+            }
         }
     }
 

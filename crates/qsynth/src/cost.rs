@@ -29,6 +29,14 @@
 //!   sweep row-based, the suffix stacks are stored transposed
 //!   (`suffixᵀ[k] = G_kᵀ · suffixᵀ[k+1]`), which also happens to make the
 //!   reduced-`Q` column reads contiguous.
+//! * **Fused width-1 kernels.** One lane, the width of nearly every
+//!   evaluation a pipeline run makes, takes fused kernels: each `U3` row
+//!   pair and each CNOT row is written in one pass (see
+//!   [`qmath::kernels::BatchedLocalOp`]), and the reduced-`Q` and
+//!   derivative sums run their independent chains side by side
+//!   ([`qmath::simd::dot2x4`], [`qmath::simd::dtrace3`]). Each keeps every
+//!   element's operation sequence, so width 1 stays bit-identical to every
+//!   other width.
 //!
 //! All scratch lives in a caller-owned [`BatchWorkspace`] sized once for a
 //! maximum lane count, so an evaluation performs **zero heap allocations**
@@ -55,7 +63,7 @@
 use crate::template::{u3_entries, Template, TemplateOp, M2};
 use qcircuit::Gate;
 use qmath::kernels::{BatchedLocalOp, MAX_BATCH};
-use qmath::simd::{axpy, dot2, mla1, vmla};
+use qmath::simd::{axpy, dot2x4, dtrace3, mla1, vmla};
 use qmath::{Matrix, C64};
 
 /// Per-op structural info the gradient sweep needs (the qubit bit position
@@ -116,7 +124,9 @@ pub struct BatchWorkspace {
     /// place, so the sweep advances `w → w2` and swaps.
     w2: Vec<C64>,
     /// The two `Q` entries per row a 1-qubit derivative trace reads:
-    /// `Q[i, base_i | x·2^shift]` of lane `b` at `(2i + x)·capacity + b`.
+    /// `Q[i, base_i | x·2^shift]` of lane `b` at `(2i + x)·capacity + b`,
+    /// or at `2i + x` when one lane runs (contiguous for
+    /// [`qmath::simd::dtrace3`]).
     qred: Vec<C64>,
     /// Per-lane `T = Tr(A† V)` accumulators.
     t: Vec<C64>,
@@ -395,31 +405,43 @@ impl<'a> HsCost<'a> {
                 // dense W·R row product. Column `c` of `suffix` is row `c`
                 // of the transposed stack, so both reads stream
                 // contiguously.
-                for i in 0..dim {
-                    let base = i & !bit;
-                    let (q0s, q1s) = (2 * i * cap, (2 * i + 1) * cap);
-                    let wrow = &w[i * dim * lanes..(i + 1) * dim * lanes];
-                    let s0row = &suffix_t[base * dim * lanes..(base + 1) * dim * lanes];
-                    let s1row =
-                        &suffix_t[(base | bit) * dim * lanes..((base | bit) + 1) * dim * lanes];
-                    if lanes == 1 {
-                        // Width-1 fast path: both dot-product chains live in
-                        // registers (bit-identical to the vmla loop below).
-                        let (a0, a1) = dot2(wrow, s0row, s1row);
-                        ws.qred[q0s] = a0;
-                        ws.qred[q1s] = a1;
-                        continue;
+                let row = dim * lanes;
+                let s_row = |i: usize, x: usize| {
+                    let c = (i & !bit) | (x * bit);
+                    &suffix_t[c * row..(c + 1) * row]
+                };
+                if lanes == 1 {
+                    // Width 1: four rows' chains run side by side (a lone
+                    // chain waits on the adder). `dim == 2` repeats its two
+                    // rows; the repeats compute the same values again.
+                    for i0 in (0..dim).step_by(4) {
+                        let rows: [usize; 4] = std::array::from_fn(|r| (i0 + r) % dim);
+                        let q = dot2x4(
+                            rows.map(|i| &w[i * row..(i + 1) * row]),
+                            rows.map(|i| s_row(i, 0)),
+                            rows.map(|i| s_row(i, 1)),
+                        );
+                        for (&i, [q0, q1]) in rows.iter().zip(q) {
+                            ws.qred[2 * i] = q0;
+                            ws.qred[2 * i + 1] = q1;
+                        }
                     }
-                    ws.qred[q0s..q0s + lanes].fill(C64::ZERO);
-                    ws.qred[q1s..q1s + lanes].fill(C64::ZERO);
-                    let (q01, rest) = ws.qred[q0s..].split_at_mut(cap);
-                    let q0 = &mut q01[..lanes];
-                    let q1 = &mut rest[..lanes];
-                    for j in 0..dim {
-                        let e = j * lanes;
-                        let wij = &wrow[e..e + lanes];
-                        vmla(q0, wij, &s0row[e..e + lanes]);
-                        vmla(q1, wij, &s1row[e..e + lanes]);
+                } else {
+                    for i in 0..dim {
+                        let q0s = 2 * i * cap;
+                        ws.qred[q0s..q0s + lanes].fill(C64::ZERO);
+                        ws.qred[q0s + cap..q0s + cap + lanes].fill(C64::ZERO);
+                        let (q01, rest) = ws.qred[q0s..].split_at_mut(cap);
+                        let q0 = &mut q01[..lanes];
+                        let q1 = &mut rest[..lanes];
+                        let wrow = &w[i * row..(i + 1) * row];
+                        let (s0row, s1row) = (s_row(i, 0), s_row(i, 1));
+                        for j in 0..dim {
+                            let e = j * lanes;
+                            let wij = &wrow[e..e + lanes];
+                            vmla(q0, wij, &s0row[e..e + lanes]);
+                            vmla(q1, wij, &s1row[e..e + lanes]);
+                        }
                     }
                 }
                 // dT = Tr(Q · ∂G) per derivative per lane, accumulated in
@@ -428,21 +450,15 @@ impl<'a> HsCost<'a> {
                 // nonzero sum), so the term set is identical at every batch
                 // width.
                 if lanes == 1 {
-                    // Width-1 fast path: the three derivative chains ride in
-                    // registers, each Q entry loads once. Per-chain term
-                    // order and operand slots match the vmla loop below
-                    // exactly, so the bits do too.
-                    let mut dt = [C64::ZERO; 3];
-                    for i in 0..dim {
-                        let y = (i >> shift) & 1;
-                        for x in 0..2 {
-                            let q = ws.qred[(2 * i + x) * cap];
-                            for (d, acc) in dt.iter_mut().enumerate() {
-                                let e = ((ui * 3 + d) * 4 + x * 2 + y) * cap;
-                                *acc = mla1(*acc, ws.u3d[e], q);
-                            }
-                        }
-                    }
+                    // Width 1: the three chains run side by side over the
+                    // contiguous reduced Q (same term order and operand
+                    // slots as the vmla loop below).
+                    let e =
+                        |d: usize, x: usize, y: usize| ws.u3d[((ui * 3 + d) * 4 + x * 2 + y) * cap];
+                    let dg = std::array::from_fn(|d| {
+                        [[e(d, 0, 0), e(d, 0, 1)], [e(d, 1, 0), e(d, 1, 1)]]
+                    });
+                    let dt = dtrace3(&dg, &ws.qred[..2 * dim], shift);
                     // dC = −2·Re(conj(T)·dT)/N².
                     for &dtv in &dt {
                         grads[gi] = -2.0 * (ws.t[0].conj() * dtv).re / self.n2;

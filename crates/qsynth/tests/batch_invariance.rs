@@ -159,6 +159,56 @@ proptest! {
     }
 }
 
+/// Deep 4-qubit templates, as LEAP grows them for the largest blocks: one
+/// lane (the fused width-1 kernels) must give every lane of a width-2 or
+/// width-3 evaluation (the generic lane kernels) bit for bit, cost and
+/// gradient alike.
+#[test]
+fn deep_four_qubit_templates_match_across_widths() {
+    let mut rng = StdRng::seed_from_u64(0xDEE4);
+    for salt in 0..3 {
+        let template = template_for(4, 10, salt);
+        let target = haar_unitary(16, &mut rng);
+        let cost_fn = HsCost::new(&template, &target);
+        let p = cost_fn.num_params();
+        let lanes_params: Vec<Vec<f64>> = (0..3)
+            .map(|_| (0..p).map(|_| rng.random_range(-3.0..3.0)).collect())
+            .collect();
+        let mut ws = cost_fn.workspace();
+        let single: Vec<(f64, Vec<f64>)> = lanes_params
+            .iter()
+            .map(|x| {
+                let mut g = vec![0.0; p];
+                let c = cost_fn.cost_and_grad(&mut ws, x, &mut g);
+                (c, g)
+            })
+            .collect();
+        for lanes in [2usize, 3] {
+            let mut bws = cost_fn.batch_workspace(lanes);
+            let xs: Vec<f64> = (0..p * lanes)
+                .map(|e| lanes_params[e % lanes][e / lanes])
+                .collect();
+            let mut costs = vec![0.0; lanes];
+            let mut grads = vec![0.0; p * lanes];
+            cost_fn.cost_and_grad_batch(&mut bws, lanes, &xs, &mut costs, &mut grads);
+            for (b, (c, g)) in single.iter().enumerate().take(lanes) {
+                assert_eq!(
+                    costs[b].to_bits(),
+                    c.to_bits(),
+                    "salt {salt} lane {b} of {lanes}"
+                );
+                for (i, gi) in g.iter().enumerate() {
+                    assert_eq!(
+                        grads[i * lanes + b].to_bits(),
+                        gi.to_bits(),
+                        "salt {salt} lane {b} of {lanes} param {i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A plain-scalar Hilbert–Schmidt cost: embedded gates multiplied entry by
 /// entry with bare `C64` mul/add (no SIMD, no FMA contraction) — the
 /// strict-arithmetic yardstick both numerics modes must track.

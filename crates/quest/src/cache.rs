@@ -107,8 +107,9 @@ impl DiskCacheConfig {
 /// A memoized block menu.
 #[derive(Clone, Debug)]
 pub(crate) struct CachedMenu {
-    /// The approximation list (including the exact original).
-    pub approximations: Vec<BlockApprox>,
+    /// The approximation list (including the exact original), shared with
+    /// every [`crate::pipeline::SynthesizedBlock`] served from it.
+    pub approximations: Arc<[BlockApprox]>,
     /// Gradient evaluations originally spent producing it.
     pub synthesis_evals: usize,
     /// The producing synthesis hit its deadline or eval budget and the menu
@@ -719,7 +720,7 @@ fn decode_entry(text: &str, target: &Matrix, config: &QuestConfig) -> Option<Cac
         return None;
     }
     Some(CachedMenu {
-        approximations,
+        approximations: approximations.into(),
         synthesis_evals,
         // Degraded/poisoned menus are never written (see `disk_store`), so
         // anything loaded from disk is clean by construction.
@@ -916,6 +917,136 @@ mod tests {
             "x -1",
         ] {
             assert_eq!(decode_ops(bad, 3), None, "{bad:?}");
+        }
+    }
+
+    /// The disk decoders against random input: mutated and truncated
+    /// encodings of valid entries must come back as `Some` or `None`, never
+    /// as a panic, and valid encodings must decode to what was encoded.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A 3-qubit circuit from `(kind, a, b, angle)` draws over the
+        /// gate names the encoder writes.
+        fn circuit_of(draws: &[(u8, usize, usize, f64)]) -> Circuit {
+            let mut c = Circuit::new(3);
+            for &(kind, a, b, t) in draws {
+                let b = if a == b { (b + 1) % 3 } else { b };
+                match kind {
+                    0 => c.u3(a, t, -0.5 * t, t * t),
+                    1 => c.rz(a, t),
+                    2 => c.cnot(a, b),
+                    3 => c.cz(a, b),
+                    4 => c.swap(a, b),
+                    _ => c.h(a),
+                };
+            }
+            c
+        }
+
+        /// A valid menu for `target`: its exact circuit plus `approx`, with
+        /// distances as synthesis would record them.
+        fn menu_for(exact: &Circuit, approx: &Circuit) -> (Matrix, CachedMenu) {
+            let target = exact.unitary();
+            let entry = |c: &Circuit| BlockApprox {
+                unitary: c.unitary(),
+                distance: qmath::hs::process_distance(&target, &c.unitary()),
+                cnot_count: c.cnot_count(),
+                circuit: c.clone(),
+            };
+            let menu = CachedMenu {
+                approximations: vec![entry(approx), entry(exact)].into(),
+                synthesis_evals: 1234,
+                degraded: false,
+                poisoned_starts: 0,
+            };
+            (target, menu)
+        }
+
+        /// Applies `(position, byte, kind)` edits to `text`: overwrite,
+        /// insert or delete one byte; the result may be invalid UTF-8,
+        /// which is read lossily as a corrupted file would be.
+        fn mutate(text: &str, edits: &[(usize, u8, u8)]) -> String {
+            let mut bytes = text.as_bytes().to_vec();
+            for &(pos, byte, kind) in edits {
+                let at = pos % (bytes.len() + 1);
+                match kind % 3 {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+
+        fn draws() -> impl Strategy<Value = Vec<(u8, usize, usize, f64)>> {
+            prop::collection::vec((0u8..6, 0usize..3, 0usize..3, -4.0f64..4.0), 1..12)
+        }
+
+        /// Edits biased towards the bytes the formats are made of.
+        fn edits() -> impl Strategy<Value = Vec<(usize, u8, u8)>> {
+            let byte = prop_oneof![
+                (0u8..=255).boxed(),
+                prop_oneof![
+                    Just(b'0'),
+                    Just(b'9'),
+                    Just(b','),
+                    Just(b';'),
+                    Just(b'('),
+                    Just(b')'),
+                    Just(b' '),
+                    Just(b'"'),
+                    Just(b'-'),
+                    Just(b'e'),
+                    Just(b'{'),
+                    Just(b']'),
+                ]
+                .boxed(),
+            ];
+            prop::collection::vec((0usize..4096, byte, 0u8..3), 1..6)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 96 })]
+
+            #[test]
+            fn ops_round_trip_and_survive_mutation(d in draws(), e in edits(), cut in 0usize..400) {
+                let c = circuit_of(&d);
+                let text = encode_ops(&c);
+                prop_assert_eq!(decode_ops(&text, 3), Some(c));
+                let _ = decode_ops(&mutate(&text, &e), 3);
+                let _ = decode_ops(&text[..text.floor_char_boundary(cut)], 3);
+                let _ = decode_ops(&text, 1);
+            }
+
+            #[test]
+            fn entries_round_trip_and_survive_mutation(
+                exact in draws(),
+                approx in draws(),
+                e in edits(),
+                cut in 0usize..4096,
+            ) {
+                let (exact, approx) = (circuit_of(&exact), circuit_of(&approx));
+                let config = QuestConfig::fast().with_seed(5);
+                let (target, menu) = menu_for(&exact, &approx);
+                let text = encode_entry(7, &target, &config, &menu).pretty();
+                let back = decode_entry(&text, &target, &config);
+                prop_assert!(back.is_some(), "valid entry rejected: {}", text);
+                let back = back.unwrap();
+                prop_assert_eq!(back.synthesis_evals, menu.synthesis_evals);
+                prop_assert_eq!(back.approximations.len(), menu.approximations.len());
+                for (b, m) in back.approximations.iter().zip(menu.approximations.iter()) {
+                    prop_assert_eq!(&b.circuit, &m.circuit);
+                    prop_assert_eq!(b.distance.to_bits(), m.distance.to_bits());
+                    prop_assert_eq!(b.cnot_count, m.cnot_count);
+                }
+                let _ = decode_entry(&mutate(&text, &e), &target, &config);
+                let _ = decode_entry(&text[..text.floor_char_boundary(cut)], &target, &config);
+            }
         }
     }
 }

@@ -12,8 +12,10 @@ use qpartition::{scan_partition_with, PartitionedCircuit};
 use qsynth::synthesize;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One approximation of one block.
@@ -39,8 +41,10 @@ pub struct SynthesizedBlock {
     /// CNOT count of the original block body.
     pub original_cnots: usize,
     /// Approximations, always including the original block circuit itself
-    /// (distance 0) so the exact circuit stays reachable.
-    pub approximations: Vec<BlockApprox>,
+    /// (distance 0) so the exact circuit stays reachable. Shared with the
+    /// block cache's menu: a cache hit hands out this `Arc`, not a copy of
+    /// every entry's circuit and unitary.
+    pub approximations: Arc<[BlockApprox]>,
     /// Gradient evaluations spent synthesizing this block.
     pub synthesis_evals: usize,
     /// Synthesis hit its deadline/eval budget (or its worker panicked
@@ -514,7 +518,7 @@ impl Quest {
             // deterministic.
             let cutoff = res.deadline_expired || res.eval_budget_exhausted;
             let approximations = if cutoff {
-                vec![exact]
+                Arc::from([exact])
             } else {
                 let mut all: Vec<BlockApprox> = res
                     .candidates
@@ -529,7 +533,7 @@ impl Quest {
                 // The original circuit itself is always available at
                 // distance 0: QUEST never does worse than the Baseline.
                 all.push(exact);
-                cap_candidates(all, self.config.max_candidates_per_block, original_cnots)
+                cap_candidates(all, self.config.max_candidates_per_block, original_cnots).into()
             };
             CachedMenu {
                 approximations,
@@ -552,10 +556,9 @@ impl Quest {
             // synthesis target on a miss, and is the block's original.
             let key = block_key(block.circuit(), &self.config);
             let target = block.unitary();
-            let menu = (*cache.get_or_insert_with(key, &target, &self.config, || {
+            let menu = cache.get_or_insert_with(key, &target, &self.config, || {
                 synthesize_menu(key, block, &target)
-            }))
-            .clone();
+            });
             observer.event(CompileEvent::BlockSynthesized {
                 index,
                 total: blocks.len(),
@@ -564,7 +567,7 @@ impl Quest {
                 qubits: block.qubits().to_vec(),
                 original_unitary: target,
                 original_cnots: block.circuit().cnot_count(),
-                approximations: menu.approximations,
+                approximations: Arc::clone(&menu.approximations),
                 synthesis_evals: menu.synthesis_evals,
                 degraded: menu.degraded,
             }
@@ -581,12 +584,28 @@ impl Quest {
         // in-flight ones finish and are thrown away by `compile_inner`'s
         // post-stage check. A slot left empty — cancelled, or its worker
         // died outside the per-block isolation — goes to the recovery pass.
-        let out = qsynth::pool::run_indexed(
+        //
+        // Workers claim the costliest blocks first — widest, then most
+        // original CNOTs, ties in block order — so the slowest block does
+        // not start last and run alone. Claim order never changes a
+        // result: seeds are keyed by block content, and a duplicated block
+        // is served from the cache whichever copy synthesizes it.
+        let mut order: Vec<usize> = (0..blocks.len()).collect();
+        order.sort_by_key(|&i| {
+            let b = &blocks[i];
+            (Reverse(b.width()), Reverse(b.circuit().cnot_count()))
+        });
+        let claimed = qsynth::pool::run_indexed(
             blocks.len(),
             block_workers,
             || observer.cancelled(),
-            |i| safe_synth(i, &blocks[i]),
+            |j| safe_synth(order[j], &blocks[order[j]]),
         );
+        let mut out: Vec<Option<Option<SynthesizedBlock>>> =
+            (0..blocks.len()).map(|_| None).collect();
+        for (&i, slot) in order.iter().zip(claimed) {
+            out[i] = slot;
+        }
 
         // Recovery pass: each dead block gets one serial retry (synthesis is
         // deterministic, so a transient-fault retry reproduces the menu
@@ -617,12 +636,12 @@ impl Quest {
                     qubits: block.qubits().to_vec(),
                     original_unitary: block.unitary(),
                     original_cnots: block.circuit().cnot_count(),
-                    approximations: vec![BlockApprox {
+                    approximations: Arc::from([BlockApprox {
                         circuit: block.circuit().clone(),
                         unitary: block.unitary(),
                         distance: 0.0,
                         cnot_count: block.circuit().cnot_count(),
-                    }],
+                    }]),
                     synthesis_evals: 0,
                     degraded: true,
                 }
@@ -1159,7 +1178,7 @@ mod tests {
             qubits: vec![0, 1],
             original_unitary: Matrix::identity(4),
             original_cnots: 3,
-            approximations: vec![mk(f64::NAN, 1), mk(0.0, 3)],
+            approximations: vec![mk(f64::NAN, 1), mk(0.0, 3)].into(),
             synthesis_evals: 0,
             degraded: false,
         };

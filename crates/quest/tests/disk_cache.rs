@@ -57,7 +57,7 @@ fn assert_bit_identical(a: &QuestResult, b: &QuestResult) {
         assert_eq!(ba.qubits, bb.qubits);
         assert_eq!(ba.synthesis_evals, bb.synthesis_evals);
         assert_eq!(ba.approximations.len(), bb.approximations.len());
-        for (xa, xb) in ba.approximations.iter().zip(&bb.approximations) {
+        for (xa, xb) in ba.approximations.iter().zip(bb.approximations.iter()) {
             assert_eq!(xa.circuit, xb.circuit, "menu circuits must match");
             assert_eq!(
                 xa.distance.to_bits(),

@@ -77,7 +77,7 @@ fn corrupted_block_unitary_is_caught() {
     for q in 0..wrong.num_qubits() {
         wrong.x(q);
     }
-    result.blocks[0].approximations[0].unitary = wrong.unitary();
+    std::sync::Arc::make_mut(&mut result.blocks[0].approximations)[0].unitary = wrong.unitary();
     let findings = verify::check_result(&c, &result, &config());
     assert!(
         findings
