@@ -620,8 +620,9 @@ impl BatchedLocalOp {
     /// full-row [`crate::simd::axpy`] (shared operator) or
     /// [`crate::simd::vmla_cyclic`] (per-lane operator) — vectorized at
     /// every lane count, unlike the per-element gather of
-    /// [`BatchedLocalOp::apply_left_inplace`]. One lane runs fused row
-    /// kernels instead ([`crate::simd::mix2`], [`crate::simd::mul_into`]).
+    /// [`BatchedLocalOp::apply_left_inplace`]. A per-lane operator at one
+    /// lane runs the fused [`crate::simd::mix2`] instead, and a shared row
+    /// with a single nonzero coefficient runs [`crate::simd::mul_into`].
     /// Both buffers are `dim²·lanes` stacks and must be distinct.
     ///
     /// Bit-identical per lane to [`BatchedLocalOp::apply_left_inplace`]:
@@ -660,22 +661,15 @@ impl BatchedLocalOp {
     }
 
     /// Shared body of the row-based left kernels; `transposed` swaps the
-    /// local-matrix index order. One lane takes the fused kernels of
-    /// [`BatchedLocalOp::left_rows_1`].
+    /// local-matrix index order. A per-lane operator at one lane takes the
+    /// fused kernel of [`BatchedLocalOp::left_rows_1`]; shared operators use
+    /// [`BatchedLocalOp::shared_row_into`] at every width.
     fn left_rows_into(&self, src: &[C64], dst: &mut [C64], lanes: usize, transposed: bool) {
         let dim = self.pl.dim;
         assert!((1..=MAX_BATCH).contains(&lanes), "bad lane count {lanes}");
         assert_eq!(src.len(), dim * dim * lanes, "SoA stack size mismatch");
         assert_eq!(dst.len(), src.len(), "SoA stack size mismatch");
-        if lanes == 1 {
-            #[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
-            {
-                if std::arch::is_x86_feature_detected!("avx") {
-                    // SAFETY: AVX support was just checked.
-                    unsafe { self.left_rows_1_avx(src, dst, transposed) };
-                    return;
-                }
-            }
+        if lanes == 1 && !self.is_shared {
             self.left_rows_1(src, dst, transposed);
             return;
         }
@@ -704,59 +698,22 @@ impl BatchedLocalOp {
         }
     }
 
-    /// [`BatchedLocalOp::left_rows_1`] compiled with AVX enabled, so the
-    /// fused kernels' AVX bodies inline into one loop per operator.
-    ///
-    /// # Safety
-    ///
-    /// Caller must guarantee AVX support; the sole call site in
-    /// `left_rows_into` gates on `is_x86_feature_detected!("avx")`.
-    #[cfg(all(target_arch = "x86_64", not(feature = "simd-relaxed")))]
-    #[target_feature(enable = "avx")]
-    unsafe fn left_rows_1_avx(&self, src: &[C64], dst: &mut [C64], transposed: bool) {
-        self.left_rows_1(src, dst, transposed);
-    }
-
-    /// The one-lane row kernel. A per-lane (1-qubit) operator mixes each
-    /// row pair in one pass ([`crate::simd::mix2`]); a shared operator's row
-    /// with a single nonzero coefficient (every row of a CNOT) is one scaled
-    /// pass ([`crate::simd::mul_into`]), and any other shared row takes the
-    /// generic zero-fill and [`crate::simd::axpy`] chain. Each fused kernel
-    /// computes every element's generic chain bit for bit; see their docs.
-    #[inline(always)]
+    /// The one-lane kernel of a per-lane (1-qubit) operator: each row pair
+    /// of a group is mixed in one pass ([`crate::simd::mix2`]), which
+    /// computes every element's generic zero-fill and
+    /// [`crate::simd::vmla_cyclic`] chain bit for bit; see its docs.
     fn left_rows_1(&self, src: &[C64], dst: &mut [C64], transposed: bool) {
         let dim = self.pl.dim;
-        let groups = (0..(dim >> self.pl.k)).map(|g| self.pl.base(g));
-        if self.is_shared {
-            for base in groups {
-                for x in 0..self.pl.l {
-                    let di = (base | self.pl.soff[x]) * dim;
-                    let out = &mut dst[di..di + dim];
-                    match self.sole[usize::from(transposed)][x] {
-                        Some(y) => {
-                            let c = if transposed {
-                                self.shared_mm[y][x]
-                            } else {
-                                self.shared_mm[x][y]
-                            };
-                            let si = (base | self.pl.soff[y]) * dim;
-                            crate::simd::mul_into(out, c, &src[si..si + dim]);
-                        }
-                        None => self.shared_row_into(out, src, base, x, transposed),
-                    }
-                }
-            }
-            return;
-        }
         let m = std::array::from_fn(|x| {
             std::array::from_fn(|y| {
                 let (r, c) = if transposed { (y, x) } else { (x, y) };
                 self.lane_mm[(r * MAX_L + c) * MAX_BATCH]
             })
         });
-        for base in groups {
+        for g in 0..(dim >> self.pl.k) {
             // Per-lane operators are 1-qubit: rows `base` (soff[0] = 0) and
             // `base | soff[1]`, the latter the higher.
+            let base = self.pl.base(g);
             let hi = base | self.pl.soff[1];
             let (d_lo, d_hi) = dst.split_at_mut(hi * dim);
             crate::simd::mix2(
@@ -769,9 +726,12 @@ impl BatchedLocalOp {
         }
     }
 
-    /// Output row `x` of group `base` of a shared operator at any width:
-    /// zero-filled, then one [`crate::simd::axpy`] per nonzero coefficient,
-    /// `y` ascending.
+    /// Output row `x` of group `base` of a shared operator, at any width. A
+    /// row with a single nonzero coefficient (every row of a CNOT) is one
+    /// scaled pass ([`crate::simd::mul_into`], bit-identical to the
+    /// zero-fill and one [`crate::simd::axpy`]); any other row is
+    /// zero-filled, then takes one `axpy` per nonzero coefficient, `y`
+    /// ascending.
     #[inline(always)]
     fn shared_row_into(
         &self,
@@ -782,13 +742,21 @@ impl BatchedLocalOp {
         transposed: bool,
     ) {
         let row = out.len();
-        out.fill(C64::ZERO);
-        for y in 0..self.pl.l {
-            let c = if transposed {
+        let coeff = |y: usize| {
+            if transposed {
                 self.shared_mm[y][x]
             } else {
                 self.shared_mm[x][y]
-            };
+            }
+        };
+        if let Some(y) = self.sole[usize::from(transposed)][x] {
+            let si = (base | self.pl.soff[y]) * row;
+            crate::simd::mul_into(out, coeff(y), &src[si..si + row]);
+            return;
+        }
+        out.fill(C64::ZERO);
+        for y in 0..self.pl.l {
+            let c = coeff(y);
             if c == C64::ZERO {
                 continue;
             }
@@ -1159,17 +1127,21 @@ mod tests {
         }
     }
 
-    /// The reference the fused kernels must match: the generic row path at
-    /// one lane — each output row zero-filled, then one `axpy` per
-    /// coefficient, `y` ascending (a shared operator skips zeros).
-    fn generic_rows_1(op: &BatchedLocalOp, src: &[C64], transposed: bool) -> Vec<C64> {
+    /// The reference the fused kernels must match: the generic row path —
+    /// each output row zero-filled, then one `axpy` per coefficient, `y`
+    /// ascending (a shared operator skips zeros). Per-lane operators only
+    /// at one lane; shared ones at any width, their coefficient being the
+    /// same for every lane of the `dim·lanes` row.
+    fn generic_rows(op: &BatchedLocalOp, src: &[C64], lanes: usize, transposed: bool) -> Vec<C64> {
+        assert!(op.is_shared || lanes == 1);
         let dim = op.pl.dim;
+        let row = dim * lanes;
         let mut dst = vec![C64::ZERO; src.len()];
         for g in 0..(dim >> op.pl.k) {
             let base = op.pl.base(g);
             for x in 0..op.pl.l {
-                let di = (base | op.pl.soff[x]) * dim;
-                let out = &mut dst[di..di + dim];
+                let di = (base | op.pl.soff[x]) * row;
+                let out = &mut dst[di..di + row];
                 out.fill(C64::ZERO);
                 for y in 0..op.pl.l {
                     let (r, c) = if transposed { (y, x) } else { (x, y) };
@@ -1181,8 +1153,8 @@ mod tests {
                     if op.is_shared && coeff == C64::ZERO {
                         continue;
                     }
-                    let si = (base | op.pl.soff[y]) * dim;
-                    crate::simd::axpy(out, coeff, &src[si..si + dim]);
+                    let si = (base | op.pl.soff[y]) * row;
+                    crate::simd::axpy(out, coeff, &src[si..si + row]);
                 }
             }
         }
@@ -1237,22 +1209,25 @@ mod tests {
     #[test]
     fn fused_width1_kernels_match_generic_rows_bitwise() {
         use crate::simd::tests::{same, special};
+        // Shared rows take the same single-coefficient dispatch at every
+        // width, so those are checked at two and three lanes as well.
         for (name, op) in width1_cases() {
             let dim = op.dim();
-            let src = special(dim * dim, dim);
-            for transposed in [false, true] {
-                let want = generic_rows_1(&op, &src, transposed);
+            let widths = if op.is_shared { 1..=3 } else { 1..=1 };
+            for (lanes, transposed) in widths.flat_map(|w| [(w, false), (w, true)]) {
+                let src = special(dim * dim * lanes, dim + lanes - 1);
+                let want = generic_rows(&op, &src, lanes, transposed);
                 // Garbage in the output must be overwritten everywhere.
-                let mut got = special(dim * dim, 5);
+                let mut got = special(src.len(), 5);
                 if transposed {
-                    op.apply_left_transposed_into(&src, &mut got, 1);
+                    op.apply_left_transposed_into(&src, &mut got, lanes);
                 } else {
-                    op.apply_left_into(&src, &mut got, 1);
+                    op.apply_left_into(&src, &mut got, lanes);
                 }
                 for (e, (&g, &w)) in got.iter().zip(&want).enumerate() {
                     assert!(
                         same(g, w),
-                        "{name} transposed {transposed} e {e}: {g:?} vs {w:?}"
+                        "{name} lanes {lanes} transposed {transposed} e {e}: {g:?} vs {w:?}"
                     );
                 }
             }
@@ -1261,8 +1236,9 @@ mod tests {
 
     #[test]
     fn fused_width1_kernels_match_generic_lanes_bitwise() {
-        // Width 1 (fused) against both lanes of width 2 (the generic
-        // `vmla_cyclic`/`axpy` rows) holding the same matrix and operator.
+        // Width 1 against both lanes of width 2 holding the same matrix and
+        // operator: for a per-lane operator, fused `mix2` against the
+        // generic `vmla_cyclic` rows.
         use crate::simd::tests::{same, special};
         for (name, mut op) in width1_cases() {
             let dim = op.dim();

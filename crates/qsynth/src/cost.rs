@@ -400,9 +400,11 @@ impl<'a> HsCost<'a> {
                 let bit = 1usize << shift;
                 let suffix_t = &ws.suffix[k + 1][..sz];
                 let w = &ws.w[..sz];
-                // qred[(2i + x)·cap + b] = Q[i, base_i | x·bit] of lane b,
-                // accumulated over j ascending — the same term order as a
-                // dense W·R row product. Column `c` of `suffix` is row `c`
+                // Q[i, base_i | x·bit] of lane b, accumulated over j
+                // ascending — the same term order as a dense W·R row
+                // product. Width 1 stores it contiguously at qred[2i + x]
+                // (`dtrace3` reads that layout); wider batches at
+                // qred[(2i + x)·cap + b]. Column `c` of `suffix` is row `c`
                 // of the transposed stack, so both reads stream
                 // contiguously.
                 let row = dim * lanes;
