@@ -30,8 +30,9 @@
 //!   etc.) keep describing exactly the two main workloads.
 //! * `qsynth.grad_eval_ns` / `qsynth.batched_grad_eval_ns` /
 //!   `qsynth.batch_speedup` / `qsynth.unitary_eval_ns` — microbenchmarks of
-//!   the synthesis hot loop (serial and full-width SoA-batched gradient
-//!   evaluations, one template unitary build), the direct per-eval signal
+//!   the synthesis hot loop (one gradient evaluation, an 8-lane batch call —
+//!   a loop over lanes through the same path — and one template unitary
+//!   build), the direct per-eval signal
 //!   behind `*.total_seconds`. Each is a median over several timed runs
 //!   after warm-up, so one-off scheduler noise cannot skew the snapshot.
 //! * `service.*` — throughput of the `questd` compilation daemon under
@@ -123,18 +124,20 @@ fn median_ns_per_unit(iters: u32, units_per_call: u32, mut op: impl FnMut()) -> 
 struct Microbench {
     /// One serial `cost_and_grad` evaluation.
     grad_ns: f64,
-    /// One gradient evaluation amortized over a full-width batched
-    /// `cost_and_grad_batch` call (per-lane time).
+    /// One gradient evaluation amortized over a full-width
+    /// `cost_and_grad_batch` call (per-lane time; the call loops over the
+    /// lanes).
     batched_grad_ns: f64,
-    /// `grad_ns / batched_grad_ns` — the SoA batching win.
+    /// `grad_ns / batched_grad_ns` — about 1: the batch call is a lane
+    /// loop over the one-lane path.
     batch_speedup: f64,
     /// One `Template::unitary` build.
     unitary_ns: f64,
 }
 
 /// Times the synthesis hot loop on a representative 4-qubit template: the
-/// serial gradient evaluation, the batched (full-width SoA) gradient
-/// evaluation per lane, and a template unitary build.
+/// serial gradient evaluation, the full-width batch call per lane, and a
+/// template unitary build.
 fn synthesis_microbench() -> Microbench {
     let template = qsynth::Template::initial(4)
         .with_layer(0, 1)

@@ -1,4 +1,4 @@
-//! In-place local gate-application kernels, serial and batched.
+//! In-place local gate-application kernels.
 //!
 //! The synthesis hot loop multiplies a `2^n × 2^n` matrix by an embedded
 //! 1- or 2-qubit operator tens of thousands of times per block. Materializing
@@ -11,15 +11,14 @@
 //!
 //! Two kernel families share one placement decode:
 //!
-//! * [`LocalOp`] applies one operator to one matrix — the serial kernels
-//!   introduced in PR 3.
-//! * [`BatchedLocalOp`] applies up to [`MAX_BATCH`] operators (one per
-//!   *lane*, e.g. one per optimizer start) to a structure-of-arrays stack of
-//!   matrices in a single traversal. Lane `b` of element `(i, j)` lives at
-//!   `(i·dim + j)·lanes + b`, so the innermost dimension is the lane index
-//!   and every accumulation step is a contiguous SIMD-width block
-//!   ([`crate::simd::vmla`]). Gate placement is decoded once per group
-//!   instead of once per lane per group.
+//! * [`LocalOp`] applies one operator to one [`Matrix`], from the left or
+//!   the right — the general kernels (and [`UnitaryBuilder`]'s).
+//! * [`RowOp`] is what the synthesis sweeps of `qsynth::cost` run: one
+//!   start at a time, one lane. It left-multiplies a flat row-major buffer
+//!   row by row, optionally by the operator's transpose (so a sweep that
+//!   stores its matrices transposed multiplies from the right), with fused
+//!   kernels per operator shape: [`crate::simd::mix2`] for a free 1-qubit
+//!   gate, [`crate::simd::mul_into`] for a fixed row with one nonzero.
 //!
 //! # Bit-exactness contract
 //!
@@ -42,21 +41,11 @@
 //! `soff`, so iterating local indices through the sorting permutation visits
 //! `k` in ascending order.
 //!
-//! # Batched bit-exactness contract
-//!
-//! Lanes are fully independent accumulation chains: for every lane `b` and
-//! every batch width `lanes ∈ 1..=MAX_BATCH`, a [`BatchedLocalOp`]
-//! application produces results bit-identical to applying lane `b`'s
-//! operator to lane `b`'s matrix alone (`lanes = 1`). Per-lane operators
-//! never skip data-dependent zero entries (a skip decided by one lane's
-//! value would have to apply to all lanes); shared operators skip exactly
-//! the entries [`LocalOp`] skips, which are identical across lanes. Both
-//! are covered by the per-contract argument above: only exact-zero terms
-//! are ever included or omitted differently.
-//!
-//! The serial and batched kernels agree bit-for-bit in both numerics modes
-//! because every scalar accumulation routes through the same
-//! [`crate::simd`] multiply-accumulate step the vector paths implement
+//! A [`RowOp`] with a free (parameterized) matrix never skips an entry, so
+//! its term set does not depend on the parameter values; a fixed one skips
+//! exactly the entries [`LocalOp`] skips. Both kernels agree bit-for-bit in
+//! both numerics modes because every scalar accumulation routes through the
+//! same [`crate::simd`] multiply-accumulate step the vector paths implement
 //! (strict unfused by default, FMA-contracted under `simd-relaxed`).
 
 use crate::{Matrix, C64};
@@ -65,14 +54,15 @@ use crate::{Matrix, C64};
 const MAX_K: usize = 2;
 /// Local dimension bound (`2^MAX_K`).
 const MAX_L: usize = 1 << MAX_K;
-/// Maximum number of SoA lanes a [`BatchedLocalOp`] can carry — sized so
-/// per-group scratch (`MAX_L · MAX_BATCH` complexes) stays a small stack
-/// array and one lane block fills an AVX-512 register file comfortably.
+/// The largest lane count `qsynth::cost`'s batch API
+/// (`HsCost::batch_workspace`) accepts. No kernel here takes lanes: that
+/// API is a loop over lanes through the one-lane [`RowOp`] path, kept only
+/// for the `batch8` kernel microbenchmarks.
 pub const MAX_BATCH: usize = 8;
 
 /// The placement of `k` local qubits within an `n`-qubit register: scattered
 /// offsets, their sorting permutation, and the group-index expansion. Shared
-/// by the serial and batched kernels so the decode is computed (and tested)
+/// by [`LocalOp`] and [`RowOp`] so the decode is computed (and tested)
 /// once.
 #[derive(Clone, Copy, Debug)]
 struct Placement {
@@ -177,7 +167,7 @@ impl Placement {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LocalOp {
-    /// Qubit placement shared with the batched kernels.
+    /// Qubit placement shared with [`RowOp`].
     pl: Placement,
     /// Local matrix conjugated by the sorting permutation:
     /// `mm[x][y] = m[perm[x]][perm[y]]`.
@@ -354,7 +344,7 @@ impl LocalOp {
                         }
                         // Coefficient in the first operand slot: the relaxed
                         // FMA contraction is not operand-symmetric, and the
-                        // batched kernels put the gate entry there too.
+                        // row kernels put the gate entry there too.
                         acc = crate::simd::mla_step(acc, c, vx);
                     }
                     drow[base | self.pl.soff[y]] = acc;
@@ -446,58 +436,48 @@ impl UnitaryBuilder {
     }
 }
 
-/// A local operator applied across up to [`MAX_BATCH`] SoA lanes in one
-/// traversal.
+/// A local operator prepared for the synthesis sweeps: row-based left
+/// multiplication of a flat row-major `2^n × 2^n` buffer, one fused kernel
+/// per operator shape.
 ///
 /// Two flavors share the struct:
 ///
-/// * **Shared** ([`BatchedLocalOp::shared`]): one matrix for every lane
-///   (fixed gates — CNOTs). Zero entries are skipped exactly as the serial
-///   kernel skips them.
-/// * **Per-lane** ([`BatchedLocalOp::per_lane_1q`] +
-///   [`BatchedLocalOp::set_lane_1q`]): each lane carries its own 1-qubit
-///   matrix (parameterized `U3`s, one optimizer start per lane). Entries are
-///   stored entry-major × lane-minor so the coefficient of entry `(x, y)`
-///   for all lanes is one contiguous block fed to [`crate::simd::vmla`].
+/// * **Fixed** ([`RowOp::fixed`]): a constant matrix (CNOTs). Zero entries
+///   are skipped exactly as [`LocalOp`] skips them, and a row with a single
+///   nonzero coefficient (every row of a CNOT) is one scaled pass
+///   ([`crate::simd::mul_into`]).
+/// * **Free** ([`RowOp::free_1q`] + [`RowOp::set_1q`]): a 1-qubit matrix
+///   refilled per evaluation (parameterized `U3`s). Its entries are data,
+///   so none is skipped: each row pair is mixed in one pass
+///   ([`crate::simd::mix2`]).
 ///
-/// Matrices and scratch are fixed-size arrays; applying an operator performs
-/// zero heap allocations at any batch width.
+/// The matrix and placement are fixed-size arrays; applying an operator
+/// performs zero heap allocations.
 #[derive(Clone, Debug)]
-pub struct BatchedLocalOp {
-    /// Qubit placement (identical decode to the serial kernel).
+pub struct RowOp {
+    /// Qubit placement (identical decode to [`LocalOp`]).
     pl: Placement,
-    /// Whether all lanes share `shared_mm` (fixed gate) or each lane has its
-    /// own slice of `lane_mm`.
-    is_shared: bool,
-    /// The shared matrix, permuted like [`LocalOp::mm`]. Unused (zero) for
-    /// per-lane operators.
-    shared_mm: [[C64; MAX_L]; MAX_L],
-    /// Per-lane matrices: entry `(x, y)` of lane `b` at
-    /// `(x·MAX_L + y)·MAX_BATCH + b`. Unused (zero) for shared operators.
-    lane_mm: [C64; MAX_L * MAX_L * MAX_BATCH],
-    /// For a shared operator, the position of the only nonzero entry of
+    /// Whether `mm` is a constant (zero entries skipped) or refilled per
+    /// evaluation by [`RowOp::set_1q`].
+    fixed: bool,
+    /// The local matrix, permuted like [`LocalOp::mm`].
+    mm: [[C64; MAX_L]; MAX_L],
+    /// For a fixed operator, the position of the only nonzero entry of
     /// each local row (`sole[0][x]`) and column (`sole[1][x]`, the
     /// transposed orientation's rows), when there is exactly one. `None`
-    /// everywhere for per-lane operators.
+    /// everywhere for free operators.
     sole: [[Option<usize>; MAX_L]; 2],
 }
 
-impl BatchedLocalOp {
-    /// Prepares a fixed operator shared by every lane (e.g. a CNOT), with
-    /// the same conventions as [`LocalOp::new`].
+impl RowOp {
+    /// Prepares a constant operator (e.g. a CNOT), with the same
+    /// conventions as [`LocalOp::new`].
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`LocalOp::new`].
-    pub fn shared(m: &Matrix, qubits: &[usize], n: usize) -> Self {
-        let pl = Placement::new(qubits, n);
-        assert_eq!((m.rows(), m.cols()), (pl.l, pl.l), "size mismatch");
-        let mut shared_mm = [[C64::ZERO; MAX_L]; MAX_L];
-        for x in 0..pl.l {
-            for y in 0..pl.l {
-                shared_mm[x][y] = m[(pl.perm[x], pl.perm[y])];
-            }
-        }
+    pub fn fixed(m: &Matrix, qubits: &[usize], n: usize) -> Self {
+        let LocalOp { pl, mm } = LocalOp::new(m, qubits, n);
         let sole_of = |entries: [C64; MAX_L]| {
             let mut nonzero = (0..pl.l).filter(|&y| entries[y] != C64::ZERO);
             match (nonzero.next(), nonzero.next()) {
@@ -506,50 +486,44 @@ impl BatchedLocalOp {
             }
         };
         let sole = [
-            std::array::from_fn(|x| sole_of(shared_mm[x])),
-            std::array::from_fn(|x| sole_of(std::array::from_fn(|y| shared_mm[y][x]))),
+            std::array::from_fn(|x| sole_of(mm[x])),
+            std::array::from_fn(|x| sole_of(std::array::from_fn(|y| mm[y][x]))),
         ];
-        BatchedLocalOp {
+        RowOp {
             pl,
-            is_shared: true,
-            shared_mm,
-            lane_mm: [C64::ZERO; MAX_L * MAX_L * MAX_BATCH],
+            fixed: true,
+            mm,
             sole,
         }
     }
 
-    /// Prepares a per-lane 1-qubit operator with zeroed matrices; fill each
-    /// lane with [`BatchedLocalOp::set_lane_1q`] before applying.
+    /// Prepares a free 1-qubit operator with a zeroed matrix; fill it with
+    /// [`RowOp::set_1q`] before applying.
     ///
     /// # Panics
     ///
     /// Panics if `qubit >= n`.
-    pub fn per_lane_1q(qubit: usize, n: usize) -> Self {
-        BatchedLocalOp {
+    pub fn free_1q(qubit: usize, n: usize) -> Self {
+        RowOp {
             pl: Placement::new(&[qubit], n),
-            is_shared: false,
-            shared_mm: [[C64::ZERO; MAX_L]; MAX_L],
-            lane_mm: [C64::ZERO; MAX_L * MAX_L * MAX_BATCH],
+            fixed: false,
+            mm: [[C64::ZERO; MAX_L]; MAX_L],
             sole: [[None; MAX_L]; 2],
         }
     }
 
-    /// Replaces lane `lane`'s local matrix — the allocation-free per-lane
-    /// refill path for parameterized `U3`s.
+    /// Replaces the matrix of a free operator — the allocation-free refill
+    /// path for parameterized `U3`s.
     ///
     /// # Panics
     ///
-    /// Panics if the operator is shared, not 1-qubit, or `lane` is out of
-    /// range.
+    /// Panics if the operator is fixed.
     #[inline]
-    pub fn set_lane_1q(&mut self, lane: usize, m: &[[C64; 2]; 2]) {
-        assert!(!self.is_shared, "set_lane_1q needs a per-lane operator");
-        assert_eq!(self.pl.k, 1, "set_lane_1q needs a 1-qubit operator");
-        assert!(lane < MAX_BATCH, "lane {lane} out of range");
+    pub fn set_1q(&mut self, m: &[[C64; 2]; 2]) {
+        assert!(!self.fixed, "set_1q needs a free operator");
         for x in 0..2 {
             for y in 0..2 {
-                self.lane_mm[(x * MAX_L + y) * MAX_BATCH + lane] =
-                    m[self.pl.perm[x]][self.pl.perm[y]];
+                self.mm[x][y] = m[self.pl.perm[x]][self.pl.perm[y]];
             }
         }
     }
@@ -560,158 +534,74 @@ impl BatchedLocalOp {
         self.pl.dim
     }
 
-    /// The coefficient block of entry `(x, y)` across the first `lanes`
-    /// lanes of a per-lane operator.
-    #[inline]
-    fn lane_block(&self, x: usize, y: usize, lanes: usize) -> &[C64] {
-        let e = (x * MAX_L + y) * MAX_BATCH;
-        &self.lane_mm[e..e + lanes]
-    }
-
-    /// `a ← op · a` for every lane in place. `a` is a lane-major SoA stack:
-    /// `a[(i·dim + j)·lanes + b]` is entry `(i, j)` of lane `b`.
+    /// `dst = op · src` (left multiplication), row-based: each output row
+    /// of a row-major `2^n × 2^n` buffer is one contiguous slice, and a
+    /// local left multiplication only mixes the `2^k` whole rows of each
+    /// group. A free operator mixes each row pair with
+    /// [`crate::simd::mix2`]; a fixed one writes each row with
+    /// [`RowOp::fixed_row_into`]. The buffers must be distinct.
+    ///
+    /// Each output element accumulates the same terms as
+    /// [`LocalOp::apply_left_into`] on the same matrix (`y` ascending,
+    /// coefficient in the first operand slot) from `+0.0`. A fixed operator
+    /// skips exactly its zero entries, so it is bit-identical to
+    /// `LocalOp`; a free one includes every entry, so an exact-zero
+    /// coefficient can change only the sign of an exact-zero output.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is 0 or exceeds [`MAX_BATCH`], or if `a` is not
-    /// exactly `dim²·lanes` long.
-    pub fn apply_left_inplace(&self, a: &mut [C64], lanes: usize) {
-        let dim = self.pl.dim;
-        assert!((1..=MAX_BATCH).contains(&lanes), "bad lane count {lanes}");
-        assert_eq!(a.len(), dim * dim * lanes, "SoA stack size mismatch");
-        let l = self.pl.l;
-        let row = dim * lanes;
-        let mut v = [C64::ZERO; MAX_L * MAX_BATCH];
-        for g in 0..(dim >> self.pl.k) {
-            let base = self.pl.base(g);
-            let mut rs = [0usize; MAX_L];
-            for (r, &soff) in rs.iter_mut().zip(&self.pl.soff).take(l) {
-                *r = (base | soff) * row;
-            }
-            for j in 0..dim {
-                let col = j * lanes;
-                for (y, &r) in rs.iter().enumerate().take(l) {
-                    v[y * lanes..(y + 1) * lanes].copy_from_slice(&a[r + col..r + col + lanes]);
-                }
-                for (x, &r) in rs.iter().enumerate().take(l) {
-                    let out = &mut a[r + col..r + col + lanes];
-                    out.fill(C64::ZERO);
-                    for y in 0..l {
-                        let vy = &v[y * lanes..(y + 1) * lanes];
-                        if self.is_shared {
-                            let c = self.shared_mm[x][y];
-                            if c == C64::ZERO {
-                                continue;
-                            }
-                            crate::simd::axpy(out, c, vy);
-                        } else {
-                            crate::simd::vmla(out, self.lane_block(x, y, lanes), vy);
-                        }
-                    }
-                }
-            }
-        }
+    /// Panics if either buffer is not `dim²` long.
+    pub fn apply_left_into(&self, src: &[C64], dst: &mut [C64]) {
+        self.rows_into(src, dst, false);
     }
 
-    /// `dst = op · src` for every lane (left multiplication), row-based:
-    /// each output row of a lane-major SoA stack is one contiguous
-    /// `dim·lanes` slice, and a local left-multiplication only mixes the
-    /// `2^k` whole rows of each group. The inner loop is therefore a
-    /// full-row [`crate::simd::axpy`] (shared operator) or
-    /// [`crate::simd::vmla_cyclic`] (per-lane operator) — vectorized at
-    /// every lane count, unlike the per-element gather of
-    /// [`BatchedLocalOp::apply_left_inplace`]. A per-lane operator at one
-    /// lane runs the fused [`crate::simd::mix2`] instead, and a shared row
-    /// with a single nonzero coefficient runs [`crate::simd::mul_into`].
-    /// Both buffers are `dim²·lanes` stacks and must be distinct.
+    /// `dst = opᵀ · src` — left multiplication by the *transpose* of the
+    /// embedded operator (embedding commutes with transposition, so this
+    /// transposes the `2^k × 2^k` local matrix and keeps the placement).
     ///
-    /// Bit-identical per lane to [`BatchedLocalOp::apply_left_inplace`]:
-    /// each output element accumulates the same terms (`y` ascending,
-    /// coefficient in the first operand slot, shared zeros skipped
-    /// identically) from `+0.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is 0 or exceeds [`MAX_BATCH`], or on a size
-    /// mismatch.
-    pub fn apply_left_into(&self, src: &[C64], dst: &mut [C64], lanes: usize) {
-        self.left_rows_into(src, dst, lanes, false);
-    }
-
-    /// `dst = opᵀ · src` for every lane — left multiplication by the
-    /// *transpose* of the embedded operator (embedding commutes with
-    /// transposition, so this transposes the `2^k × 2^k` local matrix and
-    /// keeps the placement).
-    ///
-    /// This is how a right multiplication stays row-based: for stacks
+    /// This is how a right multiplication stays row-based: for buffers
     /// stored transposed, `(A · op)ᵀ = opᵀ · Aᵀ`, so a sweep that keeps its
-    /// matrices transposed replaces [`BatchedLocalOp::apply_right_into`]
-    /// with this kernel and wins full-row vectorization at every lane
-    /// count. Bit-identical per element to `apply_right_into` on the
-    /// untransposed stack: each output element accumulates the same terms
-    /// in the same order (the transposed sweep's ascending `y` *is* the
-    /// right-kernel's ascending `x`).
+    /// matrices transposed multiplies from the right with this kernel.
+    /// Each output element accumulates the same terms in the same order as
+    /// [`LocalOp::apply_right_into`] on the untransposed matrix (the
+    /// transposed sweep's ascending `y` *is* the right kernel's ascending
+    /// `x`), with the same zero-entry rule as
+    /// [`RowOp::apply_left_into`].
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is 0 or exceeds [`MAX_BATCH`], or on a size
-    /// mismatch.
-    pub fn apply_left_transposed_into(&self, src: &[C64], dst: &mut [C64], lanes: usize) {
-        self.left_rows_into(src, dst, lanes, true);
+    /// Panics if either buffer is not `dim²` long.
+    pub fn apply_left_transposed_into(&self, src: &[C64], dst: &mut [C64]) {
+        self.rows_into(src, dst, true);
     }
 
-    /// Shared body of the row-based left kernels; `transposed` swaps the
-    /// local-matrix index order. A per-lane operator at one lane takes the
-    /// fused kernel of [`BatchedLocalOp::left_rows_1`]; shared operators use
-    /// [`BatchedLocalOp::shared_row_into`] at every width.
-    fn left_rows_into(&self, src: &[C64], dst: &mut [C64], lanes: usize, transposed: bool) {
+    /// Shared body of the row kernels; `transposed` swaps the local-matrix
+    /// index order.
+    fn rows_into(&self, src: &[C64], dst: &mut [C64], transposed: bool) {
         let dim = self.pl.dim;
-        assert!((1..=MAX_BATCH).contains(&lanes), "bad lane count {lanes}");
-        assert_eq!(src.len(), dim * dim * lanes, "SoA stack size mismatch");
-        assert_eq!(dst.len(), src.len(), "SoA stack size mismatch");
-        if lanes == 1 && !self.is_shared {
-            self.left_rows_1(src, dst, transposed);
+        assert_eq!(src.len(), dim * dim, "buffer size mismatch");
+        assert_eq!(dst.len(), src.len(), "buffer size mismatch");
+        if self.fixed {
+            for g in 0..(dim >> self.pl.k) {
+                let base = self.pl.base(g);
+                for x in 0..self.pl.l {
+                    let di = (base | self.pl.soff[x]) * dim;
+                    self.fixed_row_into(&mut dst[di..di + dim], src, base, x, transposed);
+                }
+            }
             return;
         }
-        let l = self.pl.l;
-        let row = dim * lanes;
-        for g in 0..(dim >> self.pl.k) {
-            let base = self.pl.base(g);
-            for x in 0..l {
-                let di = (base | self.pl.soff[x]) * row;
-                let out = &mut dst[di..di + row];
-                if self.is_shared {
-                    self.shared_row_into(out, src, base, x, transposed);
-                    continue;
-                }
-                out.fill(C64::ZERO);
-                for y in 0..l {
-                    let cb = if transposed {
-                        self.lane_block(y, x, lanes)
-                    } else {
-                        self.lane_block(x, y, lanes)
-                    };
-                    let si = (base | self.pl.soff[y]) * row;
-                    crate::simd::vmla_cyclic(out, cb, &src[si..si + row]);
-                }
-            }
-        }
-    }
-
-    /// The one-lane kernel of a per-lane (1-qubit) operator: each row pair
-    /// of a group is mixed in one pass ([`crate::simd::mix2`]), which
-    /// computes every element's generic zero-fill and
-    /// [`crate::simd::vmla_cyclic`] chain bit for bit; see its docs.
-    fn left_rows_1(&self, src: &[C64], dst: &mut [C64], transposed: bool) {
-        let dim = self.pl.dim;
         let m = std::array::from_fn(|x| {
             std::array::from_fn(|y| {
-                let (r, c) = if transposed { (y, x) } else { (x, y) };
-                self.lane_mm[(r * MAX_L + c) * MAX_BATCH]
+                if transposed {
+                    self.mm[y][x]
+                } else {
+                    self.mm[x][y]
+                }
             })
         });
         for g in 0..(dim >> self.pl.k) {
-            // Per-lane operators are 1-qubit: rows `base` (soff[0] = 0) and
+            // Free operators are 1-qubit: rows `base` (soff[0] = 0) and
             // `base | soff[1]`, the latter the higher.
             let base = self.pl.base(g);
             let hi = base | self.pl.soff[1];
@@ -726,14 +616,13 @@ impl BatchedLocalOp {
         }
     }
 
-    /// Output row `x` of group `base` of a shared operator, at any width. A
-    /// row with a single nonzero coefficient (every row of a CNOT) is one
-    /// scaled pass ([`crate::simd::mul_into`], bit-identical to the
-    /// zero-fill and one [`crate::simd::axpy`]); any other row is
-    /// zero-filled, then takes one `axpy` per nonzero coefficient, `y`
-    /// ascending.
+    /// Output row `x` of group `base` of a fixed operator. A row with a
+    /// single nonzero coefficient (every row of a CNOT) is one scaled pass
+    /// ([`crate::simd::mul_into`], bit-identical to the zero-fill and one
+    /// [`crate::simd::axpy`]); any other row is zero-filled, then takes one
+    /// `axpy` per nonzero coefficient, `y` ascending.
     #[inline(always)]
-    fn shared_row_into(
+    fn fixed_row_into(
         &self,
         out: &mut [C64],
         src: &[C64],
@@ -744,9 +633,9 @@ impl BatchedLocalOp {
         let row = out.len();
         let coeff = |y: usize| {
             if transposed {
-                self.shared_mm[y][x]
+                self.mm[y][x]
             } else {
-                self.shared_mm[x][y]
+                self.mm[x][y]
             }
         };
         if let Some(y) = self.sole[usize::from(transposed)][x] {
@@ -762,47 +651,6 @@ impl BatchedLocalOp {
             }
             let si = (base | self.pl.soff[y]) * row;
             crate::simd::axpy(out, c, &src[si..si + row]);
-        }
-    }
-
-    /// `dst = src · op` for every lane (right multiplication). Both buffers
-    /// are `dim²·lanes` lane-major SoA stacks; they must be distinct.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is 0 or exceeds [`MAX_BATCH`], or on a size
-    /// mismatch.
-    pub fn apply_right_into(&self, src: &[C64], dst: &mut [C64], lanes: usize) {
-        let dim = self.pl.dim;
-        assert!((1..=MAX_BATCH).contains(&lanes), "bad lane count {lanes}");
-        assert_eq!(src.len(), dim * dim * lanes, "SoA stack size mismatch");
-        assert_eq!(dst.len(), src.len(), "SoA stack size mismatch");
-        let l = self.pl.l;
-        let row = dim * lanes;
-        for i in 0..dim {
-            let srow = &src[i * row..(i + 1) * row];
-            let drow = &mut dst[i * row..(i + 1) * row];
-            for g in 0..(dim >> self.pl.k) {
-                let base = self.pl.base(g);
-                for y in 0..l {
-                    let col = (base | self.pl.soff[y]) * lanes;
-                    let out = &mut drow[col..col + lanes];
-                    out.fill(C64::ZERO);
-                    for x in 0..l {
-                        let scol = (base | self.pl.soff[x]) * lanes;
-                        let vx = &srow[scol..scol + lanes];
-                        if self.is_shared {
-                            let c = self.shared_mm[x][y];
-                            if c == C64::ZERO {
-                                continue;
-                            }
-                            crate::simd::axpy(out, c, vx);
-                        } else {
-                            crate::simd::vmla(out, self.lane_block(x, y, lanes), vx);
-                        }
-                    }
-                }
-            }
         }
     }
 }
@@ -905,267 +753,114 @@ mod tests {
         let _ = LocalOp::new(&Matrix::identity(8), &[0, 1, 2], 3);
     }
 
-    // ---- batched kernels ----
+    // ---- row kernels ----
 
-    /// A deterministic dense lane matrix (entries vary by lane).
-    fn lane_matrix(dim: usize, lane: usize) -> Matrix {
+    /// A deterministic dense matrix (entries vary by `salt`).
+    fn dense(dim: usize, salt: usize) -> Matrix {
         Matrix::from_fn(dim, dim, |i, j| {
             C64::new(
-                0.37 * (i as f64 + 1.0) - 0.11 * j as f64 + 0.05 * lane as f64,
-                0.23 * j as f64 - 0.4 * i as f64 - 0.07 * lane as f64,
+                0.37 * (i as f64 + 1.0) - 0.11 * j as f64 + 0.05 * salt as f64,
+                0.23 * j as f64 - 0.4 * i as f64 - 0.07 * salt as f64,
             )
         })
     }
 
-    /// A deterministic 1-qubit lane gate.
-    fn lane_1q(lane: usize) -> [[C64; 2]; 2] {
-        let t = 0.3 + 0.21 * lane as f64;
+    /// A deterministic 1-qubit gate with no zero entry.
+    fn gate_1q(salt: usize) -> [[C64; 2]; 2] {
+        let t = 0.3 + 0.21 * salt as f64;
         [
             [C64::new(t.cos(), 0.1 * t), C64::new(-t.sin(), 0.2)],
             [C64::new(t.sin(), -0.15), C64::new(t.cos(), 0.05 * t)],
         ]
     }
 
-    /// Packs per-lane matrices into a lane-major SoA stack.
-    fn pack(ms: &[Matrix], lanes: usize) -> Vec<C64> {
-        let dim = ms[0].rows();
-        let mut out = vec![C64::ZERO; dim * dim * lanes];
-        for (b, m) in ms.iter().enumerate().take(lanes) {
-            for i in 0..dim {
-                for j in 0..dim {
-                    out[(i * dim + j) * lanes + b] = m[(i, j)];
-                }
-            }
+    fn assert_bitwise(got: &[C64], want: &[C64], what: &str) {
+        for (e, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.re.to_bits(), w.re.to_bits(), "{what} e {e}");
+            assert_eq!(g.im.to_bits(), w.im.to_bits(), "{what} e {e}");
         }
-        out
     }
 
-    /// Unpacks lane `b` of a lane-major SoA stack.
-    fn unpack(stack: &[C64], dim: usize, lanes: usize, b: usize) -> Matrix {
-        Matrix::from_fn(dim, dim, |i, j| stack[(i * dim + j) * lanes + b])
-    }
-
-    #[test]
-    fn batched_shared_left_inplace_matches_serial_per_lane() {
+    /// Fixed and free row operators next to the [`LocalOp`] of the same
+    /// matrix, at every placement on three qubits.
+    fn row_and_local_ops() -> Vec<(String, RowOp, LocalOp)> {
         let n = 3;
-        let dim = 1usize << n;
-        let serial = LocalOp::new(&cnot_gate(), &[2, 0], n);
-        let batched = BatchedLocalOp::shared(&cnot_gate(), &[2, 0], n);
-        for lanes in [1usize, 2, 3, 5, 8] {
-            let ms: Vec<Matrix> = (0..lanes).map(|b| lane_matrix(dim, b)).collect();
-            let mut stack = pack(&ms, lanes);
-            batched.apply_left_inplace(&mut stack, lanes);
-            for (b, m) in ms.iter().enumerate() {
-                let mut want = m.clone();
-                serial.apply_left_inplace(&mut want);
-                assert_eq!(unpack(&stack, dim, lanes, b), want, "lane {b} of {lanes}");
+        let mut ops = Vec::new();
+        for q in 0..n {
+            let mut free = RowOp::free_1q(q, n);
+            free.set_1q(&gate_1q(q));
+            let local = LocalOp::from_local(&LocalMatrix::One(gate_1q(q)), &[q], n);
+            ops.push((format!("free q{q}"), free, local));
+            for p in (0..n).filter(|&p| p != q) {
+                ops.push((
+                    format!("cnot q{q},{p}"),
+                    RowOp::fixed(&cnot_gate(), &[q, p], n),
+                    LocalOp::new(&cnot_gate(), &[q, p], n),
+                ));
             }
+        }
+        ops
+    }
+
+    #[test]
+    fn row_left_into_matches_local_op_bitwise() {
+        for (name, row_op, local) in row_and_local_ops() {
+            let dim = row_op.dim();
+            let src = dense(dim, 1);
+            let mut want = src.clone();
+            local.apply_left_inplace(&mut want);
+            let mut got = vec![C64::ZERO; dim * dim];
+            row_op.apply_left_into(src.as_slice(), &mut got);
+            assert_bitwise(&got, want.as_slice(), &name);
         }
     }
 
     #[test]
-    fn batched_per_lane_left_inplace_matches_serial_per_lane() {
-        let n = 3;
-        let dim = 1usize << n;
-        let mut batched = BatchedLocalOp::per_lane_1q(1, n);
-        for lanes in [1usize, 2, 4, 7, 8] {
-            let ms: Vec<Matrix> = (0..lanes).map(|b| lane_matrix(dim, b)).collect();
-            let mut stack = pack(&ms, lanes);
-            for b in 0..lanes {
-                batched.set_lane_1q(b, &lane_1q(b));
-            }
-            batched.apply_left_inplace(&mut stack, lanes);
-            for (b, m) in ms.iter().enumerate() {
-                let serial = LocalOp::from_local(&LocalMatrix::One(lane_1q(b)), &[1], n);
-                let mut want = m.clone();
-                serial.apply_left_inplace(&mut want);
-                assert_eq!(unpack(&stack, dim, lanes, b), want, "lane {b} of {lanes}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_right_into_matches_serial_per_lane() {
-        let n = 3;
-        let dim = 1usize << n;
-        let shared = BatchedLocalOp::shared(&cnot_gate(), &[0, 2], n);
-        let serial_shared = LocalOp::new(&cnot_gate(), &[0, 2], n);
-        let mut per_lane = BatchedLocalOp::per_lane_1q(2, n);
-        for lanes in [1usize, 2, 4, 8] {
-            let ms: Vec<Matrix> = (0..lanes).map(|b| lane_matrix(dim, b + 3)).collect();
-            let stack = pack(&ms, lanes);
-            let mut dst = vec![C64::ZERO; stack.len()];
-
-            shared.apply_right_into(&stack, &mut dst, lanes);
-            for (b, m) in ms.iter().enumerate() {
-                let mut want = Matrix::zeros(dim, dim);
-                serial_shared.apply_right_into(m, &mut want);
-                assert_eq!(unpack(&dst, dim, lanes, b), want, "shared lane {b}");
-            }
-
-            for b in 0..lanes {
-                per_lane.set_lane_1q(b, &lane_1q(b + 1));
-            }
-            per_lane.apply_right_into(&stack, &mut dst, lanes);
-            for (b, m) in ms.iter().enumerate() {
-                let serial = LocalOp::from_local(&LocalMatrix::One(lane_1q(b + 1)), &[2], n);
-                let mut want = Matrix::zeros(dim, dim);
-                serial.apply_right_into(m, &mut want);
-                assert_eq!(unpack(&dst, dim, lanes, b), want, "per-lane lane {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_width_invariance_is_bitwise() {
-        // Lane b's result is independent of how many other lanes ride along.
-        let n = 4;
-        let dim = 1usize << n;
-        let mut op = BatchedLocalOp::per_lane_1q(3, n);
-        let ms: Vec<Matrix> = (0..MAX_BATCH).map(|b| lane_matrix(dim, b)).collect();
-        // Full-width result.
-        let mut wide = pack(&ms, MAX_BATCH);
-        for b in 0..MAX_BATCH {
-            op.set_lane_1q(b, &lane_1q(b));
-        }
-        op.apply_left_inplace(&mut wide, MAX_BATCH);
-        // Each lane alone.
-        for (b, lane_m) in ms.iter().enumerate() {
-            let mut narrow = pack(std::slice::from_ref(lane_m), 1);
-            let mut single = BatchedLocalOp::per_lane_1q(3, n);
-            single.set_lane_1q(0, &lane_1q(b));
-            single.apply_left_inplace(&mut narrow, 1);
-            let got = unpack(&wide, dim, MAX_BATCH, b);
-            let want = unpack(&narrow, dim, 1, 0);
-            for i in 0..dim {
-                for j in 0..dim {
-                    assert_eq!(
-                        got[(i, j)].re.to_bits(),
-                        want[(i, j)].re.to_bits(),
-                        "lane {b} ({i},{j})"
-                    );
-                    assert_eq!(got[(i, j)].im.to_bits(), want[(i, j)].im.to_bits());
-                }
-            }
-        }
-    }
-
-    /// Packs per-lane matrices into a *transposed* lane-major SoA stack:
-    /// entry `(i, j)` of lane `b` at `(j·dim + i)·lanes + b`.
-    fn pack_transposed(ms: &[Matrix], lanes: usize) -> Vec<C64> {
-        let dim = ms[0].rows();
-        let mut out = vec![C64::ZERO; dim * dim * lanes];
-        for (b, m) in ms.iter().enumerate().take(lanes) {
-            for i in 0..dim {
-                for j in 0..dim {
-                    out[(j * dim + i) * lanes + b] = m[(i, j)];
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn row_based_left_into_matches_inplace_bitwise() {
-        // The row-based kernel is a bit-exact drop-in for the per-element
-        // in-place kernel, for shared and per-lane operators alike.
-        let n = 3;
-        let dim = 1usize << n;
-        let shared = BatchedLocalOp::shared(&cnot_gate(), &[2, 0], n);
-        let mut per_lane = BatchedLocalOp::per_lane_1q(1, n);
-        for lanes in [1usize, 2, 3, 5, 8] {
-            let ms: Vec<Matrix> = (0..lanes).map(|b| lane_matrix(dim, b)).collect();
-            let stack = pack(&ms, lanes);
-            let mut dst = vec![C64::ZERO; stack.len()];
-            for b in 0..lanes {
-                per_lane.set_lane_1q(b, &lane_1q(b));
-            }
-            for op in [&shared, &per_lane] {
-                let mut inplace = stack.clone();
-                op.apply_left_inplace(&mut inplace, lanes);
-                op.apply_left_into(&stack, &mut dst, lanes);
-                for (e, (g, w)) in dst.iter().zip(&inplace).enumerate() {
-                    assert_eq!(g.re.to_bits(), w.re.to_bits(), "lanes {lanes} e {e}");
-                    assert_eq!(g.im.to_bits(), w.im.to_bits(), "lanes {lanes} e {e}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transposed_left_on_transposed_stack_matches_right_into_bitwise() {
+    fn transposed_left_on_transposed_matrix_matches_right_into_bitwise() {
         // The transposed-sweep identity: (A·op)ᵀ = opᵀ·Aᵀ, element for
         // element and bit for bit. This is what lets the suffix sweep stay
         // row-based.
-        let n = 3;
-        let dim = 1usize << n;
-        let shared = BatchedLocalOp::shared(&cnot_gate(), &[0, 2], n);
-        let mut per_lane = BatchedLocalOp::per_lane_1q(2, n);
-        for lanes in [1usize, 2, 4, 8] {
-            let ms: Vec<Matrix> = (0..lanes).map(|b| lane_matrix(dim, b + 3)).collect();
-            let stack = pack(&ms, lanes);
-            let stack_t = pack_transposed(&ms, lanes);
-            let mut want = vec![C64::ZERO; stack.len()];
-            let mut got_t = vec![C64::ZERO; stack.len()];
-            for b in 0..lanes {
-                per_lane.set_lane_1q(b, &lane_1q(b + 1));
-            }
-            for op in [&shared, &per_lane] {
-                op.apply_right_into(&stack, &mut want, lanes);
-                op.apply_left_transposed_into(&stack_t, &mut got_t, lanes);
-                for i in 0..dim {
-                    for j in 0..dim {
-                        for b in 0..lanes {
-                            let g = got_t[(j * dim + i) * lanes + b];
-                            let w = want[(i * dim + j) * lanes + b];
-                            assert_eq!(g.re.to_bits(), w.re.to_bits(), "({i},{j}) lane {b}");
-                            assert_eq!(g.im.to_bits(), w.im.to_bits(), "({i},{j}) lane {b}");
-                        }
-                    }
-                }
-            }
+        for (name, row_op, local) in row_and_local_ops() {
+            let dim = row_op.dim();
+            let src = dense(dim, 3);
+            let mut want = Matrix::zeros(dim, dim);
+            local.apply_right_into(&src, &mut want);
+            let mut got_t = vec![C64::ZERO; dim * dim];
+            row_op.apply_left_transposed_into(src.transpose().as_slice(), &mut got_t);
+            assert_bitwise(&got_t, want.transpose().as_slice(), &name);
         }
     }
 
-    /// The reference the fused kernels must match: the generic row path —
-    /// each output row zero-filled, then one `axpy` per coefficient, `y`
-    /// ascending (a shared operator skips zeros). Per-lane operators only
-    /// at one lane; shared ones at any width, their coefficient being the
-    /// same for every lane of the `dim·lanes` row.
-    fn generic_rows(op: &BatchedLocalOp, src: &[C64], lanes: usize, transposed: bool) -> Vec<C64> {
-        assert!(op.is_shared || lanes == 1);
+    /// The reference the fused kernels must match: each output row
+    /// zero-filled, then one `axpy` per coefficient, `y` ascending (a fixed
+    /// operator skips zeros).
+    fn generic_rows(op: &RowOp, src: &[C64], transposed: bool) -> Vec<C64> {
         let dim = op.pl.dim;
-        let row = dim * lanes;
         let mut dst = vec![C64::ZERO; src.len()];
         for g in 0..(dim >> op.pl.k) {
             let base = op.pl.base(g);
             for x in 0..op.pl.l {
-                let di = (base | op.pl.soff[x]) * row;
-                let out = &mut dst[di..di + row];
+                let di = (base | op.pl.soff[x]) * dim;
+                let out = &mut dst[di..di + dim];
                 out.fill(C64::ZERO);
                 for y in 0..op.pl.l {
-                    let (r, c) = if transposed { (y, x) } else { (x, y) };
-                    let coeff = if op.is_shared {
-                        op.shared_mm[r][c]
-                    } else {
-                        op.lane_mm[(r * MAX_L + c) * MAX_BATCH]
-                    };
-                    if op.is_shared && coeff == C64::ZERO {
+                    let coeff = if transposed { op.mm[y][x] } else { op.mm[x][y] };
+                    if op.fixed && coeff == C64::ZERO {
                         continue;
                     }
-                    let si = (base | op.pl.soff[y]) * row;
-                    crate::simd::axpy(out, coeff, &src[si..si + row]);
+                    let si = (base | op.pl.soff[y]) * dim;
+                    crate::simd::axpy(out, coeff, &src[si..si + dim]);
                 }
             }
         }
         dst
     }
 
-    /// Every operator shape the width-1 kernels dispatch on, at every 1-
-    /// and 2-qubit placement of up to four qubits: per-lane 1-qubit gates
-    /// (fused row pairs), permutation gates (single-coefficient rows) and
-    /// shared gates with rows of one and of several nonzeros.
-    fn width1_cases() -> Vec<(String, BatchedLocalOp)> {
+    /// Every operator shape the row kernels dispatch on, at every 1- and
+    /// 2-qubit placement of up to four qubits: free 1-qubit gates (fused
+    /// row pairs), permutation gates (single-coefficient rows) and fixed
+    /// gates with rows of one and of several nonzeros.
+    fn fused_cases() -> Vec<(String, RowOp)> {
         use crate::simd::tests::special;
         let (o, l, i) = (C64::ZERO, C64::ONE, C64::new(0.0, 1.0));
         let v = special(16, 2);
@@ -1173,18 +868,15 @@ mod tests {
         for n in 1..=4usize {
             for q in 0..n {
                 for salt in [0usize, 4, 8] {
-                    let mut op = BatchedLocalOp::per_lane_1q(q, n);
+                    let mut op = RowOp::free_1q(q, n);
                     let e = special(4, salt);
-                    op.set_lane_1q(0, &[[e[0], e[1]], [e[2], e[3]]]);
+                    op.set_1q(&[[e[0], e[1]], [e[2], e[3]]]);
                     cases.push((format!("u3 q{q} n{n} salt {salt}"), op));
                 }
                 let one_zero = Matrix::from_rows(&[&[v[0], o], &[v[1], v[7]]]);
                 let x = Matrix::from_rows(&[&[o, i], &[l, o]]);
                 for (name, m) in [("one-zero", one_zero), ("x", x)] {
-                    cases.push((
-                        format!("{name} q{q} n{n}"),
-                        BatchedLocalOp::shared(&m, &[q], n),
-                    ));
+                    cases.push((format!("{name} q{q} n{n}"), RowOp::fixed(&m, &[q], n)));
                 }
                 for p in (0..n).filter(|&p| p != q) {
                     let mut sparse = cnot_gate();
@@ -1197,7 +889,7 @@ mod tests {
                     for (name, m) in [("cnot", cnot_gate()), ("sparse", sparse), ("perm", perm)] {
                         cases.push((
                             format!("{name} q{q},{p} n{n}"),
-                            BatchedLocalOp::shared(&m, &[q, p], n),
+                            RowOp::fixed(&m, &[q, p], n),
                         ));
                     }
                 }
@@ -1207,27 +899,24 @@ mod tests {
     }
 
     #[test]
-    fn fused_width1_kernels_match_generic_rows_bitwise() {
+    fn fused_row_kernels_match_generic_rows_bitwise() {
         use crate::simd::tests::{same, special};
-        // Shared rows take the same single-coefficient dispatch at every
-        // width, so those are checked at two and three lanes as well.
-        for (name, op) in width1_cases() {
+        for (name, op) in fused_cases() {
             let dim = op.dim();
-            let widths = if op.is_shared { 1..=3 } else { 1..=1 };
-            for (lanes, transposed) in widths.flat_map(|w| [(w, false), (w, true)]) {
-                let src = special(dim * dim * lanes, dim + lanes - 1);
-                let want = generic_rows(&op, &src, lanes, transposed);
+            for transposed in [false, true] {
+                let src = special(dim * dim, dim);
+                let want = generic_rows(&op, &src, transposed);
                 // Garbage in the output must be overwritten everywhere.
                 let mut got = special(src.len(), 5);
                 if transposed {
-                    op.apply_left_transposed_into(&src, &mut got, lanes);
+                    op.apply_left_transposed_into(&src, &mut got);
                 } else {
-                    op.apply_left_into(&src, &mut got, lanes);
+                    op.apply_left_into(&src, &mut got);
                 }
                 for (e, (&g, &w)) in got.iter().zip(&want).enumerate() {
                     assert!(
                         same(g, w),
-                        "{name} lanes {lanes} transposed {transposed} e {e}: {g:?} vs {w:?}"
+                        "{name} transposed {transposed} e {e}: {g:?} vs {w:?}"
                     );
                 }
             }
@@ -1235,48 +924,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_width1_kernels_match_generic_lanes_bitwise() {
-        // Width 1 against both lanes of width 2 holding the same matrix and
-        // operator: for a per-lane operator, fused `mix2` against the
-        // generic `vmla_cyclic` rows.
-        use crate::simd::tests::{same, special};
-        for (name, mut op) in width1_cases() {
-            let dim = op.dim();
-            if !op.is_shared {
-                let e = op.lane_mm;
-                for x in 0..2 {
-                    for y in 0..2 {
-                        op.lane_mm[(x * MAX_L + y) * MAX_BATCH + 1] =
-                            e[(x * MAX_L + y) * MAX_BATCH];
-                    }
-                }
-            }
-            let src = special(dim * dim, 3);
-            let src2: Vec<C64> = src.iter().flat_map(|&z| [z, z]).collect();
-            for transposed in [false, true] {
-                let (mut one, mut two) = (vec![C64::ZERO; src.len()], vec![C64::ZERO; src2.len()]);
-                if transposed {
-                    op.apply_left_transposed_into(&src, &mut one, 1);
-                    op.apply_left_transposed_into(&src2, &mut two, 2);
-                } else {
-                    op.apply_left_into(&src, &mut one, 1);
-                    op.apply_left_into(&src2, &mut two, 2);
-                }
-                for (e, &g) in one.iter().enumerate() {
-                    for b in 0..2 {
-                        let w = two[2 * e + b];
-                        assert!(same(g, w), "{name} transposed {transposed} e {e} lane {b}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "bad lane count")]
-    fn zero_lanes_panics() {
-        let op = BatchedLocalOp::shared(&cnot_gate(), &[0, 1], 2);
-        let mut stack: Vec<C64> = vec![];
-        op.apply_left_inplace(&mut stack, 0);
+    #[should_panic(expected = "buffer size mismatch")]
+    fn wrong_buffer_size_panics() {
+        let op = RowOp::fixed(&cnot_gate(), &[0, 1], 2);
+        op.apply_left_into(&[C64::ZERO; 16], &mut [C64::ZERO; 8]);
     }
 }

@@ -13,8 +13,7 @@
 //!   bound (paper Sec. 3.8) are built on,
 //! * [`kernels`] — bit-strided local gate-application kernels (the synthesis
 //!   hot path: applying a 1-/2-qubit operator to a dense matrix in place),
-//!   including batched structure-of-arrays variants that evaluate many
-//!   optimizer starts per traversal,
+//!   including the fused row kernels the synthesis sweeps run,
 //! * [`simd`] — the vectorized complex multiply-accumulate primitives under
 //!   the kernels, with a strict (bit-exact) default and an optional
 //!   `simd-relaxed` FMA/AVX-512 mode,

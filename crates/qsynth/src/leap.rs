@@ -2,7 +2,7 @@
 //! collect-all-approximations modification.
 
 use crate::cost::HsCost;
-use crate::optimize::{minimize_batched, OptimizerConfig};
+use crate::optimize::{minimize, OptimizerConfig};
 use crate::template::Template;
 use qcircuit::Circuit;
 use qmath::Matrix;
@@ -35,8 +35,7 @@ pub struct SynthesisConfig {
     /// Total worker-thread budget for this synthesis run. The frontier's
     /// candidate placements expand concurrently up to this width, one
     /// thread per job ([`crate::pool::run_indexed`]); within each job the
-    /// optimizer packs its restarts into the SIMD lanes of one batched
-    /// evaluator instead of spawning threads.
+    /// optimizer runs its starts one after another on one thread.
     /// `None` uses [`std::thread::available_parallelism`]; `Some(1)` is
     /// fully serial. The result is **bit-identical** for every width (each
     /// candidate's RNG seed depends only on its tree position, and the
@@ -232,9 +231,9 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
     let exact_floor = (cfg.epsilon * 1e-2).min(1e-7);
     // The total worker budget for this run, consumed by concurrent frontier
     // expansions. Per-candidate optimizer starts are not threaded — they
-    // ride the SIMD lanes of a batched evaluator — so the budget only
-    // trades wall-clock for threads at the frontier level; the result is
-    // bit-identical for every width.
+    // run one after another — so the budget only trades wall-clock for
+    // threads at the frontier level; the result is bit-identical for every
+    // width.
     let budget = cfg.parallel_width.map_or_else(
         || std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         |w| w.max(1),
@@ -268,8 +267,9 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
     let root_template = Template::initial(n);
     let root = {
         let cost_fn = HsCost::new(&root_template, target);
-        let out = minimize_batched(
-            |w| cost_fn.batch_evaluator(w),
+        let mut ws = cost_fn.workspace();
+        let out = minimize(
+            |x, g| cost_fn.cost_and_grad(&mut ws, x, g),
             cost_fn.num_params(),
             None,
             &seeded(&cfg.optimizer, 0),
@@ -352,6 +352,7 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
             let (c, t) = pairs[pi];
             let template = node.template.with_layer(c, t);
             let cost_fn = HsCost::new(&template, target);
+            let mut ws = cost_fn.workspace();
             let seed_mix = (layer as u64) << 32 | (ni as u64) << 16 | pi as u64;
             // Adaptive effort: try the warm start alone first; extra
             // random restarts are only paid for when the warm basin
@@ -360,8 +361,8 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
                 restarts: 1,
                 ..seeded(&cfg.optimizer, seed_mix)
             };
-            let mut out = minimize_batched(
-                |w| cost_fn.batch_evaluator(w),
+            let mut out = minimize(
+                |x, g| cost_fn.cost_and_grad(&mut ws, x, g),
                 cost_fn.num_params(),
                 Some(&node.params),
                 &warm_cfg,
@@ -371,18 +372,21 @@ pub fn synthesize(target: &Matrix, cfg: &SynthesisConfig) -> SynthesisResult {
                     restarts: cfg.optimizer.restarts - 1,
                     ..seeded(&cfg.optimizer, seed_mix ^ 0xC01D)
                 };
-                let mut cold = minimize_batched(
-                    |w| cost_fn.batch_evaluator(w),
+                let cold = minimize(
+                    |x, g| cost_fn.cost_and_grad(&mut ws, x, g),
                     cost_fn.num_params(),
                     None,
                     &cold_cfg,
                 );
-                cold.evals += out.evals;
+                // Both runs' work and recoveries are charged, whichever
+                // one wins.
+                let evals = out.evals + cold.evals;
+                let poisoned = out.poisoned_starts + cold.poisoned_starts;
                 if cold.cost < out.cost {
                     out = cold;
-                } else {
-                    out.evals = cold.evals;
                 }
+                out.evals = evals;
+                out.poisoned_starts = poisoned;
             }
             let evals = out.evals;
             (

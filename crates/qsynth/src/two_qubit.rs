@@ -9,7 +9,7 @@
 //! CNOT-dense circuits like Heisenberg) is built on this.
 
 use crate::cost::HsCost;
-use crate::optimize::{minimize_batched, OptimizerConfig};
+use crate::optimize::{minimize, OptimizerConfig};
 use crate::template::Template;
 use crate::Candidate;
 use qmath::Matrix;
@@ -56,8 +56,9 @@ pub fn synthesize_two_qubit(target: &Matrix, epsilon: f64, seed: u64) -> Option<
             target_cost,
             seed: seed.wrapping_add(cnots as u64),
         };
-        let out = minimize_batched(
-            |w| cost_fn.batch_evaluator(w),
+        let mut ws = cost_fn.workspace();
+        let out = minimize(
+            |x, g| cost_fn.cost_and_grad(&mut ws, x, g),
             cost_fn.num_params(),
             None,
             &cfg,

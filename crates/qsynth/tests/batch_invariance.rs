@@ -1,16 +1,16 @@
-//! Batch-width invariance of the multi-start optimizer.
+//! The optimizer against an independent serial oracle, and the batch
+//! API's lanes against single evaluations.
 //!
-//! The contract the batched hot loop rests on: for any batch width, the
-//! optimizer returns **bit-identical** results to a plain serial sweep of
-//! Adam starts — same best cost bits, same parameters, same
-//! gradient-evaluation accounting (including early-stop truncation and
-//! lane retirement), same poison bookkeeping. The serial sweep below
-//! ([`serial_adam`]) is written independently of the library's lane
-//! engine: one shared RNG stream, one start after another, one
-//! single-point cost evaluation per iteration. This holds in *both* numerics modes: the relaxed
-//! FMA kernels are also lane-invariant by construction; only strict ↔
-//! relaxed cross-build comparisons are by tolerance (covered by
-//! `relaxed_cost_tracks_plain_scalar_reference` below).
+//! For any configuration, [`minimize`] must return **bit-identical**
+//! results to a plain serial sweep of Adam starts — same best cost bits,
+//! same parameters, same gradient-evaluation accounting (including the
+//! early stop after the first start that reaches the target), same poison
+//! bookkeeping. The serial sweep below ([`serial_adam`]) is written
+//! independently of the library: one shared RNG stream, one start after
+//! another, one single-point cost evaluation per iteration. This holds in
+//! *both* numerics modes; only strict ↔ relaxed cross-build comparisons
+//! are by tolerance (covered by `batched_cost_tracks_plain_scalar_reference`
+//! below).
 
 // Bitwise comparisons of deterministic paths are the point of this test.
 #![allow(clippy::float_cmp)]
@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use qmath::random::haar_unitary;
 use qsynth::cost::HsCost;
-use qsynth::optimize::{minimize_batched_with_width, OptimizeOutcome, OptimizerConfig};
+use qsynth::optimize::{minimize, OptimizeOutcome, OptimizerConfig};
 use qsynth::Template;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,13 +116,13 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
     #[test]
-    fn every_batch_width_matches_the_serial_sweep(
+    fn minimize_matches_the_serial_sweep(
         seed in 0u64..(1 << 16),
         n in 2usize..=3,
         layers in 0usize..=3,
         restarts in 1usize..=6,
-        // A reachable target exercises early stop + lane retirement; an
-        // unreachable one exercises the full iteration budget.
+        // A reachable target exercises the early stop; an unreachable one
+        // exercises the full iteration budget.
         reachable_flag in 0u8..2,
         warm_flag in 0u8..2,
     ) {
@@ -145,67 +145,15 @@ proptest! {
         };
 
         let serial = serial_adam(&cost_fn, warm_start, &cfg);
-        for width in [1usize, 2, 4, 8] {
-            let mut eval = cost_fn.batch_evaluator(width);
-            let got = minimize_batched_with_width(&mut eval, p, warm_start, &cfg, width);
-            prop_assert_eq!(
-                got.cost.to_bits(), serial.cost.to_bits(),
-                "cost bits differ at width {} ({} vs {})", width, got.cost, serial.cost
-            );
-            prop_assert_eq!(&got.params, &serial.params, "params differ at width {}", width);
-            prop_assert_eq!(got.evals, serial.evals, "eval accounting differs at width {}", width);
-            prop_assert_eq!(got.poisoned_starts, serial.poisoned_starts);
-        }
-    }
-}
-
-/// Deep 4-qubit templates, as LEAP grows them for the largest blocks: one
-/// lane (the fused width-1 kernels) must give every lane of a width-2 or
-/// width-3 evaluation (the generic lane kernels) bit for bit, cost and
-/// gradient alike.
-#[test]
-fn deep_four_qubit_templates_match_across_widths() {
-    let mut rng = StdRng::seed_from_u64(0xDEE4);
-    for salt in 0..3 {
-        let template = template_for(4, 10, salt);
-        let target = haar_unitary(16, &mut rng);
-        let cost_fn = HsCost::new(&template, &target);
-        let p = cost_fn.num_params();
-        let lanes_params: Vec<Vec<f64>> = (0..3)
-            .map(|_| (0..p).map(|_| rng.random_range(-3.0..3.0)).collect())
-            .collect();
         let mut ws = cost_fn.workspace();
-        let single: Vec<(f64, Vec<f64>)> = lanes_params
-            .iter()
-            .map(|x| {
-                let mut g = vec![0.0; p];
-                let c = cost_fn.cost_and_grad(&mut ws, x, &mut g);
-                (c, g)
-            })
-            .collect();
-        for lanes in [2usize, 3] {
-            let mut bws = cost_fn.batch_workspace(lanes);
-            let xs: Vec<f64> = (0..p * lanes)
-                .map(|e| lanes_params[e % lanes][e / lanes])
-                .collect();
-            let mut costs = vec![0.0; lanes];
-            let mut grads = vec![0.0; p * lanes];
-            cost_fn.cost_and_grad_batch(&mut bws, lanes, &xs, &mut costs, &mut grads);
-            for (b, (c, g)) in single.iter().enumerate().take(lanes) {
-                assert_eq!(
-                    costs[b].to_bits(),
-                    c.to_bits(),
-                    "salt {salt} lane {b} of {lanes}"
-                );
-                for (i, gi) in g.iter().enumerate() {
-                    assert_eq!(
-                        grads[i * lanes + b].to_bits(),
-                        gi.to_bits(),
-                        "salt {salt} lane {b} of {lanes} param {i}"
-                    );
-                }
-            }
-        }
+        let got = minimize(|x, g| cost_fn.cost_and_grad(&mut ws, x, g), p, warm_start, &cfg);
+        prop_assert_eq!(
+            got.cost.to_bits(), serial.cost.to_bits(),
+            "cost bits differ ({} vs {})", got.cost, serial.cost
+        );
+        prop_assert_eq!(&got.params, &serial.params);
+        prop_assert_eq!(got.evals, serial.evals, "eval accounting differs");
+        prop_assert_eq!(got.poisoned_starts, serial.poisoned_starts);
     }
 }
 
@@ -226,9 +174,10 @@ fn dense_reference_cost(template: &Template, target: &qmath::Matrix, params: &[f
     1.0 - t.norm_sqr() / n2
 }
 
-/// In the default strict mode the batched cost is bit-for-bit reproducible
-/// and FD-consistent; under `simd-relaxed` it may differ from strict in
-/// rounding only. Either way it must stay within the documented tolerance
+/// In the default strict mode the cost is bit-for-bit reproducible and
+/// FD-consistent; under `simd-relaxed` it may differ from strict in
+/// rounding only. Evaluated through the batch API, so every lane of the
+/// lane loop is checked too. Either way it must stay within the documented tolerance
 /// (DESIGN.md §4j) of a plain scalar evaluation of the same circuit.
 #[test]
 fn batched_cost_tracks_plain_scalar_reference() {

@@ -13,8 +13,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// A 3-qubit circuit, enough work to keep a worker busy for the duration
-/// of a few client round-trips.
+/// A 3-qubit circuit.
 const QASM: &str = r#"OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[3];
@@ -60,6 +59,51 @@ fn submit(id: &str, qasm: &str, config: JobConfig) -> SubmitRequest {
     }
 }
 
+/// A 4-qubit circuit of 24 CNOTs with generic rotations: one 4-qubit block
+/// whose full-preset (`fast: false`) synthesis runs for seconds (about 6 s
+/// on a 2-vCPU host), far beyond [`BLOCKER_MS`].
+fn blocker_qasm() -> String {
+    const PAIRS: [(usize, usize); 12] = [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (3, 0),
+        (0, 2),
+        (1, 3),
+        (2, 1),
+        (3, 2),
+        (0, 3),
+        (1, 0),
+        (2, 0),
+        (3, 1),
+    ];
+    let mut qasm =
+        String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\nh q[0];\nh q[2];\n");
+    for (i, (a, b)) in PAIRS.iter().cycle().take(24).enumerate() {
+        let rot = ["rz", "rx", "ry"][i % 3];
+        let angle = 0.1 + 0.137 * i as f64;
+        qasm.push_str(&format!("cx q[{a}],q[{b}];\n{rot}({angle:.3}) q[{b}];\n"));
+    }
+    qasm
+}
+
+/// How long a blocker job holds the lone worker: its block's synthesis
+/// deadline, which the search above cannot beat on any host. The job then
+/// reports, its block degraded to the exact circuit.
+const BLOCKER_MS: u64 = 500;
+
+/// The job that pins the worker for [`BLOCKER_MS`] while a test queues,
+/// cancels, evicts or drains other work behind it.
+fn blocker_job() -> SubmitRequest {
+    let config = JobConfig {
+        block_deadline_ms: Some(BLOCKER_MS),
+        max_samples: Some(2),
+        seed: Some(1),
+        ..JobConfig::default()
+    };
+    submit("blocker", &blocker_qasm(), config)
+}
+
 fn start_server(workers: usize, queue_capacity: usize, net: NetConfig) -> Server {
     Server::bind(
         "127.0.0.1:0",
@@ -99,9 +143,7 @@ fn drain_finishes_queued_work_and_rejects_new_submissions() {
     let addr = server.local_addr();
 
     let mut blocker = Client::connect(addr).expect("connect");
-    blocker
-        .submit(submit("blocker", QASM_OTHER, fast_config(1)))
-        .expect("submit blocker");
+    blocker.submit(blocker_job()).expect("submit blocker");
     wait_started(&mut blocker, "blocker");
 
     // A second job sits in the queue when the drain begins.
@@ -168,9 +210,7 @@ fn expired_jobs_are_evicted_while_the_worker_is_still_pinned() {
     let addr = server.local_addr();
 
     let mut blocker = Client::connect(addr).expect("connect");
-    blocker
-        .submit(submit("blocker", QASM, fast_config(1)))
-        .expect("submit blocker");
+    blocker.submit(blocker_job()).expect("submit blocker");
     wait_started(&mut blocker, "blocker");
 
     let mut victim = Client::connect(addr).expect("connect");
@@ -539,9 +579,7 @@ fn retrying_client_rides_out_queue_full_backpressure() {
     // Pin the worker and fill the single queue slot so the first retry
     // attempts are guaranteed to bounce with queue_full.
     let mut blocker = Client::connect(addr).expect("connect");
-    blocker
-        .submit(submit("blocker", QASM_OTHER, fast_config(1)))
-        .expect("submit blocker");
+    blocker.submit(blocker_job()).expect("submit blocker");
     wait_started(&mut blocker, "blocker");
     let mut filler = Client::connect(addr).expect("connect");
     filler

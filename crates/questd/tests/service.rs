@@ -9,8 +9,7 @@ use questd::{
     Client, ErrorCode, Event, JobConfig, JobOutcome, Server, ServerConfig, SubmitRequest,
 };
 
-/// A 3-qubit TFIM-style circuit, enough work to keep a worker busy for the
-/// duration of a few client round-trips.
+/// A 3-qubit TFIM-style circuit.
 const QASM: &str = r#"OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[3];
@@ -55,6 +54,51 @@ fn submit(id: &str, qasm: &str, config: JobConfig) -> SubmitRequest {
         priority: 5,
         queue_deadline_ms: None,
     }
+}
+
+/// A 4-qubit circuit of 24 CNOTs with generic rotations: one 4-qubit block
+/// whose full-preset (`fast: false`) synthesis runs for seconds (about 6 s
+/// on a 2-vCPU host), far beyond [`BLOCKER_MS`].
+fn blocker_qasm() -> String {
+    const PAIRS: [(usize, usize); 12] = [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (3, 0),
+        (0, 2),
+        (1, 3),
+        (2, 1),
+        (3, 2),
+        (0, 3),
+        (1, 0),
+        (2, 0),
+        (3, 1),
+    ];
+    let mut qasm =
+        String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\nh q[0];\nh q[2];\n");
+    for (i, (a, b)) in PAIRS.iter().cycle().take(24).enumerate() {
+        let rot = ["rz", "rx", "ry"][i % 3];
+        let angle = 0.1 + 0.137 * i as f64;
+        qasm.push_str(&format!("cx q[{a}],q[{b}];\n{rot}({angle:.3}) q[{b}];\n"));
+    }
+    qasm
+}
+
+/// How long a blocker job holds the lone worker: its block's synthesis
+/// deadline, which the search above cannot beat on any host. The job then
+/// reports, its block degraded to the exact circuit.
+const BLOCKER_MS: u64 = 500;
+
+/// The job that pins the worker for [`BLOCKER_MS`] while a test queues,
+/// cancels, evicts or drains other work behind it.
+fn blocker_job() -> SubmitRequest {
+    let config = JobConfig {
+        block_deadline_ms: Some(BLOCKER_MS),
+        max_samples: Some(2),
+        seed: Some(1),
+        ..JobConfig::default()
+    };
+    submit("blocker", &blocker_qasm(), config)
 }
 
 fn start_server(workers: usize, queue_capacity: usize) -> Server {
@@ -147,9 +191,7 @@ fn identical_concurrent_submissions_run_once_and_get_identical_reports() {
     let addr = server.local_addr();
 
     let mut blocker = Client::connect(addr).expect("connect");
-    blocker
-        .submit(submit("blocker", QASM_OTHER, fast_config(1)))
-        .expect("submit blocker");
+    blocker.submit(blocker_job()).expect("submit blocker");
     wait_started(&mut blocker, "blocker");
 
     // The worker is now busy; these two identical submissions both sit in
@@ -221,9 +263,7 @@ fn full_queue_rejects_new_jobs_with_queue_full() {
     let addr = server.local_addr();
 
     let mut blocker = Client::connect(addr).expect("connect");
-    blocker
-        .submit(submit("blocker", QASM_OTHER, fast_config(1)))
-        .expect("submit blocker");
+    blocker.submit(blocker_job()).expect("submit blocker");
     wait_started(&mut blocker, "blocker");
 
     let mut filler = Client::connect(addr).expect("connect");
@@ -275,9 +315,7 @@ fn expired_queue_deadlines_evict_jobs_without_compiling_them() {
     let addr = server.local_addr();
 
     let mut blocker = Client::connect(addr).expect("connect");
-    blocker
-        .submit(submit("blocker", QASM_OTHER, fast_config(1)))
-        .expect("submit blocker");
+    blocker.submit(blocker_job()).expect("submit blocker");
     wait_started(&mut blocker, "blocker");
 
     // The victim's queue deadline (1 ms) expires long before the blocker
@@ -313,9 +351,7 @@ fn cancelling_a_queued_job_prevents_its_execution() {
     let addr = server.local_addr();
 
     let mut blocker = Client::connect(addr).expect("connect");
-    blocker
-        .submit(submit("blocker", QASM_OTHER, fast_config(1)))
-        .expect("submit blocker");
+    blocker.submit(blocker_job()).expect("submit blocker");
     wait_started(&mut blocker, "blocker");
 
     let mut client = Client::connect(addr).expect("connect");
