@@ -14,7 +14,8 @@
 //! * [`LocalOp`] applies one operator to one [`Matrix`], from the left or
 //!   the right — the general kernels (and [`UnitaryBuilder`]'s).
 //! * [`RowOp`] is what the synthesis sweeps of `qsynth::cost` run: one
-//!   start at a time, one lane. It left-multiplies a flat row-major buffer
+//!   start at a time, one lane (threads, `parallel_width`, are spent by
+//!   the callers). It left-multiplies a flat row-major buffer
 //!   row by row, optionally by the operator's transpose (so a sweep that
 //!   stores its matrices transposed multiplies from the right), with fused
 //!   kernels per operator shape: [`crate::simd::mix2`] for a free 1-qubit

@@ -7,8 +7,9 @@
 //! `Tr(R_k · A† · L_k · ∂G_k)` where `R_k`/`L_k` are partial products.
 //!
 //! This is the synthesis hot loop (tens of thousands of evaluations per
-//! pipeline run). It evaluates one start at a time, one lane, and three
-//! structural ideas make it fast:
+//! pipeline run). The rule is one start at a time, one lane; threads =
+//! `parallel_width`, spent above this module (LEAP's frontier and the
+//! block pool). Three structural ideas make an evaluation fast:
 //!
 //! * **Incremental left product.** Instead of materializing a prefix stack
 //!   and paying a dense `O(N³)` product `W_k = L_k · A†` per `U3`, the sweep
