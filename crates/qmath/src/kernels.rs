@@ -539,8 +539,10 @@ impl RowOp {
     /// of a row-major `2^n × 2^n` buffer is one contiguous slice, and a
     /// local left multiplication only mixes the `2^k` whole rows of each
     /// group. A free operator mixes each row pair with
-    /// [`crate::simd::mix2`]; a fixed one writes each row with
-    /// [`RowOp::fixed_row_into`]. The buffers must be distinct.
+    /// [`crate::simd::mix2`]; a fixed one writes each row in one
+    /// [`crate::simd::mul_into`] pass when it has a single nonzero
+    /// coefficient, else as a zero-fill and one [`crate::simd::axpy`] per
+    /// nonzero. The buffers must be distinct.
     ///
     /// Each output element accumulates the same terms as
     /// [`LocalOp::apply_left_into`] on the same matrix (`y` ascending,
