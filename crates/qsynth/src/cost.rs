@@ -564,8 +564,8 @@ mod tests {
 
     #[test]
     fn batched_matches_serial_per_lane_bitwise() {
-        // The core SoA contract: each lane of a batched evaluation is
-        // bit-identical to a width-1 evaluation of that lane's parameters.
+        // The lane loop: each lane of a batch call is bit-identical to a
+        // single evaluation of that lane's parameters.
         let mut rng = StdRng::seed_from_u64(6);
         let t = Template::initial(3)
             .with_layer(0, 1)
