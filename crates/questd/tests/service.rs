@@ -85,8 +85,8 @@ fn blocker_qasm() -> String {
 }
 
 /// How long a blocker job holds the lone worker: its block's synthesis
-/// deadline, which the search above cannot beat on any host. The job then
-/// reports, its block degraded to the exact circuit.
+/// deadline. The search above runs several times longer, so the job ends
+/// at the deadline and reports, its block degraded to the exact circuit.
 const BLOCKER_MS: u64 = 500;
 
 /// The job that pins the worker for [`BLOCKER_MS`] while a test queues,
