@@ -38,20 +38,26 @@ fn bench_approximate_3q(c: &mut Criterion) {
     group.finish();
 }
 
+/// One-lane cost and gradient on 3-qubit templates at 0, 1 and 2 CNOT
+/// layers: the block shapes of the `fast` preset the `questd` service runs,
+/// where an evaluation is bound by per-gate overhead, not arithmetic.
 fn bench_gradient_eval(c: &mut Criterion) {
     use qsynth::Template;
-    let template = (0..4).fold(Template::initial(3), |t, i| {
-        t.with_layer(i % 2, (i % 2) + 1)
-    });
-    let circ = qbench::spin::heisenberg(3, 1, 0.1);
-    let target = circ.unitary();
-    let cost = qsynth::cost::HsCost::new(&template, &target);
-    let mut ws = cost.workspace();
-    let params: Vec<f64> = (0..cost.num_params()).map(|i| 0.1 * i as f64).collect();
-    let mut grad = vec![0.0; cost.num_params()];
-    c.bench_function("hs_cost_and_grad_3q", |b| {
-        b.iter(|| cost.cost_and_grad(&mut ws, &params, &mut grad))
-    });
+    let target = qbench::spin::heisenberg(3, 1, 0.1).unitary();
+    let mut group = c.benchmark_group("hs_cost_and_grad_3q");
+    for layers in [0usize, 1, 2] {
+        let template = (0..layers).fold(Template::initial(3), |t, i| {
+            t.with_layer(i % 2, (i % 2) + 1)
+        });
+        let cost = qsynth::cost::HsCost::new(&template, &target);
+        let mut ws = cost.workspace();
+        let params: Vec<f64> = (0..cost.num_params()).map(|i| 0.1 * i as f64).collect();
+        let mut grad = vec![0.0; cost.num_params()];
+        group.bench_with_input(BenchmarkId::new("layers", layers), &layers, |b, _| {
+            b.iter(|| cost.cost_and_grad(&mut ws, &params, &mut grad))
+        });
+    }
+    group.finish();
 }
 
 /// One-lane cost and gradient on 4-qubit templates as LEAP grows them for

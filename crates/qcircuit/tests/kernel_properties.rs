@@ -7,15 +7,6 @@
 //! (right), and exact-zero entries may differ in sign only — which `C64`'s
 //! IEEE `==` already treats as equal. So plain matrix equality is the whole
 //! assertion.
-//!
-//! One carve-out under `simd-relaxed` (detected via `qmath::NUMERICS_MODE`
-//! at runtime): the right-apply reference `src.matmul(&embed(..))` carries
-//! the `src` entry in the coefficient slot, while the kernel carries the
-//! gate entry there. Strict complex multiply is operand-symmetric to the
-//! bit, but an FMA-contracted one is not — which products fuse depends on
-//! operand order — so in relaxed builds the right-apply comparison drops
-//! to a tight tolerance. Left-apply keeps the bitwise assert in both modes
-//! (kernel and reference are both coefficient-first).
 
 use proptest::prelude::*;
 use qcircuit::embed::embed;
@@ -89,14 +80,7 @@ proptest! {
                 let op = LocalOp::new(&m, &qubits, n);
                 let mut dst = Matrix::zeros(dim, dim);
                 op.apply_right_into(&src, &mut dst);
-                if qmath::NUMERICS_MODE == "strict" {
-                    prop_assert_eq!(&dst, &reference, "right: n={} qubits={:?}", n, &qubits);
-                } else {
-                    prop_assert!(
-                        dst.approx_eq(&reference, 1e-12),
-                        "right (relaxed): n={} qubits={:?}", n, &qubits
-                    );
-                }
+                prop_assert_eq!(&dst, &reference, "right: n={} qubits={:?}", n, &qubits);
             }
         }
     }

@@ -9,17 +9,12 @@
 //! qubit bits, so the same product is a bit-strided sweep with no scratch
 //! matrix at all.
 //!
-//! Two kernel families share one placement decode:
-//!
-//! * [`LocalOp`] applies one operator to one [`Matrix`], from the left or
-//!   the right — the general kernels (and [`UnitaryBuilder`]'s).
-//! * [`RowOp`] is what the synthesis sweeps of `qsynth::cost` run: one
-//!   start at a time, one lane (threads, `parallel_width`, are spent by
-//!   the callers). It left-multiplies a flat row-major buffer
-//!   row by row, optionally by the operator's transpose (so a sweep that
-//!   stores its matrices transposed multiplies from the right), with fused
-//!   kernels per operator shape: [`crate::simd::mix2`] for a free 1-qubit
-//!   gate, [`crate::simd::mul_into`] for a fixed row with one nonzero.
+//! [`LocalOp`] applies one operator to one [`Matrix`], from the left or the
+//! right — the general kernels (and [`UnitaryBuilder`]'s). The synthesis
+//! sweeps of `qsynth::cost` do not run these: they run the whole-matrix
+//! kernels of [`crate::simd::Kernels`], one AVX check per evaluation, whose
+//! tests pin them to `LocalOp` bit for bit at every placement up to
+//! `n = 4`.
 //!
 //! # Bit-exactness contract
 //!
@@ -42,12 +37,9 @@
 //! `soff`, so iterating local indices through the sorting permutation visits
 //! `k` in ascending order.
 //!
-//! A [`RowOp`] with a free (parameterized) matrix never skips an entry, so
-//! its term set does not depend on the parameter values; a fixed one skips
-//! exactly the entries [`LocalOp`] skips. Both kernels agree bit-for-bit in
-//! both numerics modes because every scalar accumulation routes through the
-//! same [`crate::simd`] multiply-accumulate step the vector paths implement
-//! (strict unfused by default, FMA-contracted under `simd-relaxed`).
+//! Every scalar accumulation routes through the same [`crate::simd`]
+//! multiply-accumulate step the vector paths implement (unfused, never
+//! FMA), so scalar and vector paths agree bit for bit.
 
 use crate::{Matrix, C64};
 
@@ -56,15 +48,13 @@ const MAX_K: usize = 2;
 /// Local dimension bound (`2^MAX_K`).
 const MAX_L: usize = 1 << MAX_K;
 /// The largest lane count `qsynth::cost`'s batch API
-/// (`HsCost::batch_workspace`) accepts. No kernel here takes lanes: that
-/// API is a loop over lanes through the one-lane [`RowOp`] path, kept only
-/// for the `batch8` kernel microbenchmarks.
+/// (`HsCost::batch_workspace`) accepts. No kernel takes lanes: that API is
+/// a loop over lanes through the one-lane evaluation, kept only for the
+/// `batch8` kernel microbenchmarks.
 pub const MAX_BATCH: usize = 8;
 
 /// The placement of `k` local qubits within an `n`-qubit register: scattered
-/// offsets, their sorting permutation, and the group-index expansion. Shared
-/// by [`LocalOp`] and [`RowOp`] so the decode is computed (and tested)
-/// once.
+/// offsets, their sorting permutation, and the group-index expansion.
 #[derive(Clone, Copy, Debug)]
 struct Placement {
     /// Number of local qubits (1 or 2).
@@ -168,7 +158,7 @@ impl Placement {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LocalOp {
-    /// Qubit placement shared with [`RowOp`].
+    /// Qubit placement.
     pl: Placement,
     /// Local matrix conjugated by the sorting permutation:
     /// `mm[x][y] = m[perm[x]][perm[y]]`.
@@ -343,9 +333,8 @@ impl LocalOp {
                         if c == C64::ZERO {
                             continue;
                         }
-                        // Coefficient in the first operand slot: the relaxed
-                        // FMA contraction is not operand-symmetric, and the
-                        // row kernels put the gate entry there too.
+                        // Coefficient in the first operand slot, as in
+                        // every other kernel.
                         acc = crate::simd::mla_step(acc, c, vx);
                     }
                     drow[base | self.pl.soff[y]] = acc;
@@ -434,227 +423,6 @@ impl UnitaryBuilder {
     /// The finished unitary.
     pub fn finish(self) -> Matrix {
         self.cur
-    }
-}
-
-/// A local operator prepared for the synthesis sweeps: row-based left
-/// multiplication of a flat row-major `2^n × 2^n` buffer, one fused kernel
-/// per operator shape.
-///
-/// Two flavors share the struct:
-///
-/// * **Fixed** ([`RowOp::fixed`]): a constant matrix (CNOTs). Zero entries
-///   are skipped exactly as [`LocalOp`] skips them, and a row with a single
-///   nonzero coefficient (every row of a CNOT) is one scaled pass
-///   ([`crate::simd::mul_into`]).
-/// * **Free** ([`RowOp::free_1q`] + [`RowOp::set_1q`]): a 1-qubit matrix
-///   refilled per evaluation (parameterized `U3`s). Its entries are data,
-///   so none is skipped: each row pair is mixed in one pass
-///   ([`crate::simd::mix2`]).
-///
-/// The matrix and placement are fixed-size arrays; applying an operator
-/// performs zero heap allocations.
-#[derive(Clone, Debug)]
-pub struct RowOp {
-    /// Qubit placement (identical decode to [`LocalOp`]).
-    pl: Placement,
-    /// Whether `mm` is a constant (zero entries skipped) or refilled per
-    /// evaluation by [`RowOp::set_1q`].
-    fixed: bool,
-    /// The local matrix, permuted like [`LocalOp::mm`].
-    mm: [[C64; MAX_L]; MAX_L],
-    /// For a fixed operator, the position of the only nonzero entry of
-    /// each local row (`sole[0][x]`) and column (`sole[1][x]`, the
-    /// transposed orientation's rows), when there is exactly one. `None`
-    /// everywhere for free operators.
-    sole: [[Option<usize>; MAX_L]; 2],
-}
-
-impl RowOp {
-    /// Prepares a constant operator (e.g. a CNOT), with the same
-    /// conventions as [`LocalOp::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`LocalOp::new`].
-    pub fn fixed(m: &Matrix, qubits: &[usize], n: usize) -> Self {
-        let LocalOp { pl, mm } = LocalOp::new(m, qubits, n);
-        let sole_of = |entries: [C64; MAX_L]| {
-            let mut nonzero = (0..pl.l).filter(|&y| entries[y] != C64::ZERO);
-            match (nonzero.next(), nonzero.next()) {
-                (Some(y), None) => Some(y),
-                _ => None,
-            }
-        };
-        let sole = [
-            std::array::from_fn(|x| sole_of(mm[x])),
-            std::array::from_fn(|x| sole_of(std::array::from_fn(|y| mm[y][x]))),
-        ];
-        RowOp {
-            pl,
-            fixed: true,
-            mm,
-            sole,
-        }
-    }
-
-    /// Prepares a free 1-qubit operator with a zeroed matrix; fill it with
-    /// [`RowOp::set_1q`] before applying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qubit >= n`.
-    pub fn free_1q(qubit: usize, n: usize) -> Self {
-        RowOp {
-            pl: Placement::new(&[qubit], n),
-            fixed: false,
-            mm: [[C64::ZERO; MAX_L]; MAX_L],
-            sole: [[None; MAX_L]; 2],
-        }
-    }
-
-    /// Replaces the matrix of a free operator — the allocation-free refill
-    /// path for parameterized `U3`s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operator is fixed.
-    #[inline]
-    pub fn set_1q(&mut self, m: &[[C64; 2]; 2]) {
-        assert!(!self.fixed, "set_1q needs a free operator");
-        for x in 0..2 {
-            for y in 0..2 {
-                self.mm[x][y] = m[self.pl.perm[x]][self.pl.perm[y]];
-            }
-        }
-    }
-
-    /// Full-space dimension `2^n` the operator is prepared for.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.pl.dim
-    }
-
-    /// `dst = op · src` (left multiplication), row-based: each output row
-    /// of a row-major `2^n × 2^n` buffer is one contiguous slice, and a
-    /// local left multiplication only mixes the `2^k` whole rows of each
-    /// group. A free operator mixes each row pair with
-    /// [`crate::simd::mix2`]; a fixed one writes each row in one
-    /// [`crate::simd::mul_into`] pass when it has a single nonzero
-    /// coefficient, else as a zero-fill and one [`crate::simd::axpy`] per
-    /// nonzero. The buffers must be distinct.
-    ///
-    /// Each output element accumulates the same terms as
-    /// [`LocalOp::apply_left_into`] on the same matrix (`y` ascending,
-    /// coefficient in the first operand slot) from `+0.0`. A fixed operator
-    /// skips exactly its zero entries, so it is bit-identical to
-    /// `LocalOp`; a free one includes every entry, so an exact-zero
-    /// coefficient can change only the sign of an exact-zero output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either buffer is not `dim²` long.
-    pub fn apply_left_into(&self, src: &[C64], dst: &mut [C64]) {
-        self.rows_into(src, dst, false);
-    }
-
-    /// `dst = opᵀ · src` — left multiplication by the *transpose* of the
-    /// embedded operator (embedding commutes with transposition, so this
-    /// transposes the `2^k × 2^k` local matrix and keeps the placement).
-    ///
-    /// This is how a right multiplication stays row-based: for buffers
-    /// stored transposed, `(A · op)ᵀ = opᵀ · Aᵀ`, so a sweep that keeps its
-    /// matrices transposed multiplies from the right with this kernel.
-    /// Each output element accumulates the same terms in the same order as
-    /// [`LocalOp::apply_right_into`] on the untransposed matrix (the
-    /// transposed sweep's ascending `y` *is* the right kernel's ascending
-    /// `x`), with the same zero-entry rule as
-    /// [`RowOp::apply_left_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either buffer is not `dim²` long.
-    pub fn apply_left_transposed_into(&self, src: &[C64], dst: &mut [C64]) {
-        self.rows_into(src, dst, true);
-    }
-
-    /// Shared body of the row kernels; `transposed` swaps the local-matrix
-    /// index order.
-    fn rows_into(&self, src: &[C64], dst: &mut [C64], transposed: bool) {
-        let dim = self.pl.dim;
-        assert_eq!(src.len(), dim * dim, "buffer size mismatch");
-        assert_eq!(dst.len(), src.len(), "buffer size mismatch");
-        if self.fixed {
-            for g in 0..(dim >> self.pl.k) {
-                let base = self.pl.base(g);
-                for x in 0..self.pl.l {
-                    let di = (base | self.pl.soff[x]) * dim;
-                    self.fixed_row_into(&mut dst[di..di + dim], src, base, x, transposed);
-                }
-            }
-            return;
-        }
-        let m = std::array::from_fn(|x| {
-            std::array::from_fn(|y| {
-                if transposed {
-                    self.mm[y][x]
-                } else {
-                    self.mm[x][y]
-                }
-            })
-        });
-        for g in 0..(dim >> self.pl.k) {
-            // Free operators are 1-qubit: rows `base` (soff[0] = 0) and
-            // `base | soff[1]`, the latter the higher.
-            let base = self.pl.base(g);
-            let hi = base | self.pl.soff[1];
-            let (d_lo, d_hi) = dst.split_at_mut(hi * dim);
-            crate::simd::mix2(
-                &mut d_lo[base * dim..(base + 1) * dim],
-                &mut d_hi[..dim],
-                m,
-                &src[base * dim..(base + 1) * dim],
-                &src[hi * dim..(hi + 1) * dim],
-            );
-        }
-    }
-
-    /// Output row `x` of group `base` of a fixed operator. A row with a
-    /// single nonzero coefficient (every row of a CNOT) is one scaled pass
-    /// ([`crate::simd::mul_into`], bit-identical to the zero-fill and one
-    /// [`crate::simd::axpy`]); any other row is zero-filled, then takes one
-    /// `axpy` per nonzero coefficient, `y` ascending.
-    #[inline(always)]
-    fn fixed_row_into(
-        &self,
-        out: &mut [C64],
-        src: &[C64],
-        base: usize,
-        x: usize,
-        transposed: bool,
-    ) {
-        let row = out.len();
-        let coeff = |y: usize| {
-            if transposed {
-                self.mm[y][x]
-            } else {
-                self.mm[x][y]
-            }
-        };
-        if let Some(y) = self.sole[usize::from(transposed)][x] {
-            let si = (base | self.pl.soff[y]) * row;
-            crate::simd::mul_into(out, coeff(y), &src[si..si + row]);
-            return;
-        }
-        out.fill(C64::ZERO);
-        for y in 0..self.pl.l {
-            let c = coeff(y);
-            if c == C64::ZERO {
-                continue;
-            }
-            let si = (base | self.pl.soff[y]) * row;
-            crate::simd::axpy(out, c, &src[si..si + row]);
-        }
     }
 }
 
@@ -754,182 +522,5 @@ mod tests {
     #[should_panic(expected = "1 or 2 qubits")]
     fn three_qubit_operator_panics() {
         let _ = LocalOp::new(&Matrix::identity(8), &[0, 1, 2], 3);
-    }
-
-    // ---- row kernels ----
-
-    /// A deterministic dense matrix (entries vary by `salt`).
-    fn dense(dim: usize, salt: usize) -> Matrix {
-        Matrix::from_fn(dim, dim, |i, j| {
-            C64::new(
-                0.37 * (i as f64 + 1.0) - 0.11 * j as f64 + 0.05 * salt as f64,
-                0.23 * j as f64 - 0.4 * i as f64 - 0.07 * salt as f64,
-            )
-        })
-    }
-
-    /// A deterministic 1-qubit gate with no zero entry.
-    fn gate_1q(salt: usize) -> [[C64; 2]; 2] {
-        let t = 0.3 + 0.21 * salt as f64;
-        [
-            [C64::new(t.cos(), 0.1 * t), C64::new(-t.sin(), 0.2)],
-            [C64::new(t.sin(), -0.15), C64::new(t.cos(), 0.05 * t)],
-        ]
-    }
-
-    fn assert_bitwise(got: &[C64], want: &[C64], what: &str) {
-        for (e, (g, w)) in got.iter().zip(want).enumerate() {
-            assert_eq!(g.re.to_bits(), w.re.to_bits(), "{what} e {e}");
-            assert_eq!(g.im.to_bits(), w.im.to_bits(), "{what} e {e}");
-        }
-    }
-
-    /// Fixed and free row operators next to the [`LocalOp`] of the same
-    /// matrix, at every placement on three qubits.
-    fn row_and_local_ops() -> Vec<(String, RowOp, LocalOp)> {
-        let n = 3;
-        let mut ops = Vec::new();
-        for q in 0..n {
-            let mut free = RowOp::free_1q(q, n);
-            free.set_1q(&gate_1q(q));
-            let local = LocalOp::from_local(&LocalMatrix::One(gate_1q(q)), &[q], n);
-            ops.push((format!("free q{q}"), free, local));
-            for p in (0..n).filter(|&p| p != q) {
-                ops.push((
-                    format!("cnot q{q},{p}"),
-                    RowOp::fixed(&cnot_gate(), &[q, p], n),
-                    LocalOp::new(&cnot_gate(), &[q, p], n),
-                ));
-            }
-        }
-        ops
-    }
-
-    #[test]
-    fn row_left_into_matches_local_op_bitwise() {
-        for (name, row_op, local) in row_and_local_ops() {
-            let dim = row_op.dim();
-            let src = dense(dim, 1);
-            let mut want = src.clone();
-            local.apply_left_inplace(&mut want);
-            let mut got = vec![C64::ZERO; dim * dim];
-            row_op.apply_left_into(src.as_slice(), &mut got);
-            assert_bitwise(&got, want.as_slice(), &name);
-        }
-    }
-
-    #[test]
-    fn transposed_left_on_transposed_matrix_matches_right_into_bitwise() {
-        // The transposed-sweep identity: (A·op)ᵀ = opᵀ·Aᵀ, element for
-        // element and bit for bit. This is what lets the suffix sweep stay
-        // row-based.
-        for (name, row_op, local) in row_and_local_ops() {
-            let dim = row_op.dim();
-            let src = dense(dim, 3);
-            let mut want = Matrix::zeros(dim, dim);
-            local.apply_right_into(&src, &mut want);
-            let mut got_t = vec![C64::ZERO; dim * dim];
-            row_op.apply_left_transposed_into(src.transpose().as_slice(), &mut got_t);
-            assert_bitwise(&got_t, want.transpose().as_slice(), &name);
-        }
-    }
-
-    /// The reference the fused kernels must match: each output row
-    /// zero-filled, then one `axpy` per coefficient, `y` ascending (a fixed
-    /// operator skips zeros).
-    fn generic_rows(op: &RowOp, src: &[C64], transposed: bool) -> Vec<C64> {
-        let dim = op.pl.dim;
-        let mut dst = vec![C64::ZERO; src.len()];
-        for g in 0..(dim >> op.pl.k) {
-            let base = op.pl.base(g);
-            for x in 0..op.pl.l {
-                let di = (base | op.pl.soff[x]) * dim;
-                let out = &mut dst[di..di + dim];
-                out.fill(C64::ZERO);
-                for y in 0..op.pl.l {
-                    let coeff = if transposed { op.mm[y][x] } else { op.mm[x][y] };
-                    if op.fixed && coeff == C64::ZERO {
-                        continue;
-                    }
-                    let si = (base | op.pl.soff[y]) * dim;
-                    crate::simd::axpy(out, coeff, &src[si..si + dim]);
-                }
-            }
-        }
-        dst
-    }
-
-    /// Every operator shape the row kernels dispatch on, at every 1- and
-    /// 2-qubit placement of up to four qubits: free 1-qubit gates (fused
-    /// row pairs), permutation gates (single-coefficient rows) and fixed
-    /// gates with rows of one and of several nonzeros.
-    fn fused_cases() -> Vec<(String, RowOp)> {
-        use crate::simd::tests::special;
-        let (o, l, i) = (C64::ZERO, C64::ONE, C64::new(0.0, 1.0));
-        let v = special(16, 2);
-        let mut cases = Vec::new();
-        for n in 1..=4usize {
-            for q in 0..n {
-                for salt in [0usize, 4, 8] {
-                    let mut op = RowOp::free_1q(q, n);
-                    let e = special(4, salt);
-                    op.set_1q(&[[e[0], e[1]], [e[2], e[3]]]);
-                    cases.push((format!("u3 q{q} n{n} salt {salt}"), op));
-                }
-                let one_zero = Matrix::from_rows(&[&[v[0], o], &[v[1], v[7]]]);
-                let x = Matrix::from_rows(&[&[o, i], &[l, o]]);
-                for (name, m) in [("one-zero", one_zero), ("x", x)] {
-                    cases.push((format!("{name} q{q} n{n}"), RowOp::fixed(&m, &[q], n)));
-                }
-                for p in (0..n).filter(|&p| p != q) {
-                    let mut sparse = cnot_gate();
-                    sparse[(0, 1)] = v[4];
-                    sparse[(3, 0)] = v[6];
-                    let mut perm = Matrix::zeros(4, 4);
-                    for (r, c) in [(0, 2), (1, 0), (2, 3), (3, 1)] {
-                        perm[(r, c)] = v[r + 7];
-                    }
-                    for (name, m) in [("cnot", cnot_gate()), ("sparse", sparse), ("perm", perm)] {
-                        cases.push((
-                            format!("{name} q{q},{p} n{n}"),
-                            RowOp::fixed(&m, &[q, p], n),
-                        ));
-                    }
-                }
-            }
-        }
-        cases
-    }
-
-    #[test]
-    fn fused_row_kernels_match_generic_rows_bitwise() {
-        use crate::simd::tests::{same, special};
-        for (name, op) in fused_cases() {
-            let dim = op.dim();
-            for transposed in [false, true] {
-                let src = special(dim * dim, dim);
-                let want = generic_rows(&op, &src, transposed);
-                // Garbage in the output must be overwritten everywhere.
-                let mut got = special(src.len(), 5);
-                if transposed {
-                    op.apply_left_transposed_into(&src, &mut got);
-                } else {
-                    op.apply_left_into(&src, &mut got);
-                }
-                for (e, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                    assert!(
-                        same(g, w),
-                        "{name} transposed {transposed} e {e}: {g:?} vs {w:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer size mismatch")]
-    fn wrong_buffer_size_panics() {
-        let op = RowOp::fixed(&cnot_gate(), &[0, 1], 2);
-        op.apply_left_into(&[C64::ZERO; 16], &mut [C64::ZERO; 8]);
     }
 }

@@ -13,10 +13,9 @@
 //!   bound (paper Sec. 3.8) are built on,
 //! * [`kernels`] — bit-strided local gate-application kernels (the synthesis
 //!   hot path: applying a 1-/2-qubit operator to a dense matrix in place),
-//!   including the fused row kernels the synthesis sweeps run,
 //! * [`simd`] — the vectorized complex multiply-accumulate primitives under
-//!   the kernels, with a strict (bit-exact) default and an optional
-//!   `simd-relaxed` FMA/AVX-512 mode,
+//!   the kernels, and the whole-matrix kernels the synthesis sweeps run
+//!   (AVX and scalar, bit-identical),
 //! * [`random`] — Haar-random unitaries via QR of Ginibre matrices,
 //! * [`decompose`] — the ZYZ Euler decomposition of 2×2 unitaries used by the
 //!   transpiler's single-qubit fusion pass.
@@ -49,7 +48,6 @@ pub mod vector;
 
 pub use complex::C64;
 pub use matrix::Matrix;
-pub use simd::NUMERICS_MODE;
 pub use vector::Vector;
 
 /// Tolerance used throughout the workspace when comparing floating-point

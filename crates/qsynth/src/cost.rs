@@ -9,24 +9,30 @@
 //! This is the synthesis hot loop (tens of thousands of evaluations per
 //! pipeline run). The rule is one start at a time, one lane; threads =
 //! `parallel_width`, spent above this module (LEAP's frontier and the
-//! block pool). Three structural ideas make an evaluation fast:
+//! block pool). Within an evaluation the rule is **one AVX check per
+//! evaluation; whole-matrix kernels**:
 //!
+//! * **One AVX region.** [`HsCost::cost`] and [`HsCost::cost_and_grad`]
+//!   check for AVX once ([`qmath::simd::Avx::detect`]) and run the whole
+//!   sweep inside one `#[target_feature(enable = "avx")]` function. The
+//!   sweep is written once, generic over [`qmath::simd::Kernels`]; its
+//!   second instantiation, [`qmath::simd::Scalar`], is the portable
+//!   fallback, bit-identical to the first.
+//! * **Whole-matrix kernels.** Each gate is one kernel call over the whole
+//!   matrix: a `U3` mixes every row pair with its coefficients broadcast
+//!   once, a CNOT writes each row through its row map, and the reduced-`Q`
+//!   and derivative sums run their independent chains side by side while
+//!   each keeps its own term order.
 //! * **Incremental left product.** Instead of materializing a prefix stack
 //!   and paying a dense `O(N³)` product `W_k = L_k · A†` per `U3`, the sweep
 //!   carries `W` forward: `W_0 = A†`, then `W_{k+1} = G_{k+1} · W_k` — an
 //!   `O(4N²)` bit-strided kernel per gate. Only the suffix stack is stored;
 //!   of `Q_k = W_k · R_k` just the `2N` entries the 1-qubit derivative
 //!   traces read are ever computed (the reduced-`Q` trick).
-//! * **Row-based kernels.** Both sweeps apply gates with
-//!   [`qmath::kernels::RowOp`], whose inner loops are contiguous full-row
-//!   operations. To keep the right-multiplying suffix sweep row-based, the
-//!   suffix stack is stored transposed (`suffixᵀ[k] = G_kᵀ · suffixᵀ[k+1]`),
-//!   which also makes the reduced-`Q` column reads contiguous.
-//! * **Fused kernels.** Each `U3` row pair and each CNOT row is written in
-//!   one pass (see [`qmath::kernels::RowOp`]), and the reduced-`Q` and
-//!   derivative sums run their independent chains side by side
-//!   ([`qmath::simd::dot2x4`], [`qmath::simd::dtrace3`]) while each keeps
-//!   its own term order.
+//! * **Row-based sweeps.** Every kernel left-multiplies. To keep the
+//!   right-multiplying suffix sweep row-based, the suffix stack is stored
+//!   transposed (`suffixᵀ[k] = G_kᵀ · suffixᵀ[k+1]`), which also makes the
+//!   reduced-`Q` column reads contiguous.
 //!
 //! All scratch lives in a caller-owned [`Workspace`], so an evaluation
 //! performs **zero heap allocations** (covered by the counting-allocator
@@ -44,25 +50,26 @@
 //!
 //! No accumulation ever branches on a parameter value (exact-zero terms of
 //! a `U3` are included rather than skipped; adding `±0` cannot change a
-//! nonzero sum). In the default strict numerics mode the kernels are
-//! bit-identical to an embed-then-matmul reference of the same formulation
-//! (`tests/kernel_equivalence.rs`); under `simd-relaxed` the same results
-//! hold to the documented tolerance (DESIGN.md §4j).
+//! nonzero sum), and the AVX and scalar sweeps agree bit for bit. The
+//! kernels are bit-identical to an embed-then-matmul reference of the same
+//! formulation (`tests/kernel_equivalence.rs`).
 
 use crate::template::{u3_entries, Template, TemplateOp, M2};
-use qcircuit::Gate;
-use qmath::kernels::{RowOp, MAX_BATCH};
-use qmath::simd::{dot2x4, dtrace3, mla1};
+use qmath::kernels::MAX_BATCH;
+#[cfg(target_arch = "x86_64")]
+use qmath::simd::Avx;
+use qmath::simd::{mla1, Kernels, Scalar};
 use qmath::{Matrix, C64};
 
-/// Per-op structural info the gradient sweep needs (the qubit bit position
-/// of free `U3`s).
+/// Per-op structural info the sweeps need: the bit positions each kernel
+/// acts on (`2^(n−1−q)` for qubit `q`).
 #[derive(Clone, Copy, Debug)]
 enum OpKind {
-    /// Free `U3` with its qubit's LSB-based bit position.
-    U3 { shift: usize },
-    /// Fixed CNOT (no parameters).
-    Cnot,
+    /// Free `U3` on the qubit at `bit`; `u` indexes its matrices in the
+    /// workspace (template order among the `U3`s).
+    U3 { bit: usize, u: usize },
+    /// Fixed CNOT, control at `cbit`, target at `tbit`.
+    Cnot { cbit: usize, tbit: usize },
 }
 
 /// Cost function object binding a target unitary to a template.
@@ -77,9 +84,6 @@ pub struct HsCost<'a> {
     dim: usize,
     n2: f64,
     kinds: Vec<OpKind>,
-    /// Kernel prototypes per op; `U3` matrices are refilled per evaluation
-    /// in the workspace clone, CNOT matrices are fixed here.
-    ops_proto: Vec<RowOp>,
     num_u3: usize,
     /// Op index of the last free `U3` — the forward `W` sweep stops there
     /// (later fixed gates contribute no gradient).
@@ -90,8 +94,8 @@ pub struct HsCost<'a> {
 /// optimizer, evaluate many times with no heap traffic. Every matrix
 /// buffer is a flat row-major `dim × dim` array.
 pub struct Workspace {
-    /// Per-op kernels (`U3` matrices are refilled each evaluation).
-    ops: Vec<RowOp>,
+    /// Each `U3`'s matrix, refilled every evaluation, in template order.
+    u3: Vec<M2>,
     /// The three derivative matrices `∂_d G` of each `U3`, in template
     /// order.
     u3d: Vec<[M2; 3]>,
@@ -103,12 +107,12 @@ pub struct Workspace {
     suffix: Vec<Vec<C64>>,
     /// The running left product `W = L_k · A†` (row-major).
     w: Vec<C64>,
-    /// Double buffer for `w`: the row kernel writes out of place, so the
-    /// sweep advances `w → w2` and swaps.
+    /// Double buffer for `w`: the kernels write out of place, so the sweep
+    /// advances `w → w2` and swaps.
     w2: Vec<C64>,
     /// The two `Q` entries per row a 1-qubit derivative trace reads:
-    /// `Q[i, base_i | x·2^shift]` at `2i + x` (the layout
-    /// [`qmath::simd::dtrace3`] reads).
+    /// `Q[i, (i & !bit) | x·bit]` at `2i + x` (the layout
+    /// [`Kernels::reduced_q`] writes and [`Kernels::dtrace3`] reads).
     qred: Vec<C64>,
 }
 
@@ -139,24 +143,24 @@ impl<'a> HsCost<'a> {
             (dim, dim),
             "target dimension does not match template width"
         );
+        let bit = |q: usize| 1usize << (n - 1 - q);
         let mut kinds = Vec::with_capacity(template.ops().len());
-        let mut ops_proto = Vec::with_capacity(template.ops().len());
         let mut num_u3 = 0;
         let mut last_u3 = None;
         for (k, op) in template.ops().iter().enumerate() {
             match *op {
                 TemplateOp::FreeU3 { qubit } => {
                     kinds.push(OpKind::U3 {
-                        shift: n - 1 - qubit,
+                        bit: bit(qubit),
+                        u: num_u3,
                     });
-                    ops_proto.push(RowOp::free_1q(qubit, n));
                     num_u3 += 1;
                     last_u3 = Some(k);
                 }
-                TemplateOp::Cnot { control, target } => {
-                    kinds.push(OpKind::Cnot);
-                    ops_proto.push(RowOp::fixed(&Gate::Cnot.matrix(), &[control, target], n));
-                }
+                TemplateOp::Cnot { control, target } => kinds.push(OpKind::Cnot {
+                    cbit: bit(control),
+                    tbit: bit(target),
+                }),
             }
         }
         #[allow(clippy::cast_precision_loss)]
@@ -168,7 +172,6 @@ impl<'a> HsCost<'a> {
             dim,
             n2,
             kinds,
-            ops_proto,
             num_u3,
             last_u3,
         }
@@ -188,7 +191,7 @@ impl<'a> HsCost<'a> {
     pub fn workspace(&self) -> Workspace {
         let sz = self.dim * self.dim;
         Workspace {
-            ops: self.ops_proto.clone(),
+            u3: vec![[[C64::ZERO; 2]; 2]; self.num_u3],
             u3d: vec![[[[C64::ZERO; 2]; 2]; 3]; self.num_u3],
             suffix: (0..=self.kinds.len())
                 .map(|_| vec![C64::ZERO; sz])
@@ -221,17 +224,11 @@ impl<'a> HsCost<'a> {
     /// derivatives) from `params`.
     fn load_params(&self, ws: &mut Workspace, params: &[f64], with_grads: bool) {
         assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
-        let mut p = 0;
-        let mut ui = 0;
-        for (k, kind) in self.kinds.iter().enumerate() {
-            if let OpKind::U3 { .. } = kind {
-                let (m, d) = u3_entries(params[p], params[p + 1], params[p + 2]);
-                ws.ops[k].set_1q(&m);
-                if with_grads {
-                    ws.u3d[ui] = d;
-                }
-                p += 3;
-                ui += 1;
+        for (u, p) in params.chunks_exact(3).enumerate() {
+            let (m, d) = u3_entries(p[0], p[1], p[2]);
+            ws.u3[u] = m;
+            if with_grads {
+                ws.u3d[u] = d;
             }
         }
     }
@@ -244,12 +241,12 @@ impl<'a> HsCost<'a> {
     #[qstatic_attr::zero_alloc]
     pub fn cost(&self, ws: &mut Workspace, params: &[f64]) -> f64 {
         self.load_params(ws, params, false);
-        fill_identity(&mut ws.w, self.dim);
-        for k in 0..ws.ops.len() {
-            ws.ops[k].apply_left_into(&ws.w, &mut ws.w2);
-            std::mem::swap(&mut ws.w, &mut ws.w2);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx) = Avx::detect() {
+            // SAFETY: `avx` proves this CPU runs AVX.
+            return unsafe { self.cost_avx(avx, ws) };
         }
-        1.0 - self.trace(&ws.w).norm_sqr() / self.n2
+        self.cost_sweep(Scalar, ws)
     }
 
     /// Evaluates the cost and writes the gradient with respect to every
@@ -262,6 +259,46 @@ impl<'a> HsCost<'a> {
     pub fn cost_and_grad(&self, ws: &mut Workspace, params: &[f64], grad: &mut [f64]) -> f64 {
         assert_eq!(grad.len(), self.num_params(), "gradient size mismatch");
         self.load_params(ws, params, true);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx) = Avx::detect() {
+            // SAFETY: `avx` proves this CPU runs AVX.
+            return unsafe { self.grad_avx(avx, ws, grad) };
+        }
+        self.grad_sweep(Scalar, ws, grad)
+    }
+
+    /// [`Self::cost_sweep`] on the AVX kernels, in one AVX region.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    fn cost_avx(&self, avx: Avx, ws: &mut Workspace) -> f64 {
+        self.cost_sweep(avx, ws)
+    }
+
+    /// [`Self::grad_sweep`] on the AVX kernels, in one AVX region.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    fn grad_avx(&self, avx: Avx, ws: &mut Workspace, grad: &mut [f64]) -> f64 {
+        self.grad_sweep(avx, ws, grad)
+    }
+
+    /// The cost of the loaded parameters: `V` built from the identity, one
+    /// kernel per gate, then `1 − |Tr(A† V)|² / N²`.
+    #[inline(always)]
+    #[qstatic_attr::zero_alloc]
+    fn cost_sweep<K: Kernels>(&self, k: K, ws: &mut Workspace) -> f64 {
+        fill_identity(&mut ws.w, self.dim);
+        for &kind in &self.kinds {
+            self.apply(k, kind, &ws.u3, false, &ws.w, &mut ws.w2);
+            std::mem::swap(&mut ws.w, &mut ws.w2);
+        }
+        1.0 - self.trace(&ws.w).norm_sqr() / self.n2
+    }
+
+    /// The cost and gradient of the loaded parameters (see the module
+    /// docs).
+    #[inline(always)]
+    #[qstatic_attr::zero_alloc]
+    fn grad_sweep<K: Kernels>(&self, k: K, ws: &mut Workspace, grad: &mut [f64]) -> f64 {
         let m = self.kinds.len();
         let dim = self.dim;
 
@@ -269,9 +306,9 @@ impl<'a> HsCost<'a> {
         // is the row-based form of suffix[k] = suffix[k+1] · G_k. (The
         // identity seed is symmetric, so no transposition is needed there.)
         fill_identity(&mut ws.suffix[m], dim);
-        for k in (0..m).rev() {
-            let (head, tail) = ws.suffix.split_at_mut(k + 1);
-            ws.ops[k].apply_left_transposed_into(&tail[0], &mut head[k]);
+        for (i, &kind) in self.kinds.iter().enumerate().rev() {
+            let (head, tail) = ws.suffix.split_at_mut(i + 1);
+            self.apply(k, kind, &ws.u3, true, &tail[0], &mut head[i]);
         }
 
         // T = Tr(A† V); V = suffix[0] = G_m … G_1.
@@ -284,56 +321,57 @@ impl<'a> HsCost<'a> {
             return cost; // no free parameters
         };
         ws.w.copy_from_slice(self.a_dag.as_slice());
-        let mut gi = 0;
-        let mut ui = 0;
-        for (k, kind) in self.kinds.iter().enumerate() {
-            if let OpKind::U3 { shift } = *kind {
-                let bit = 1usize << shift;
-                let suffix_t = &ws.suffix[k + 1];
-                let w = &ws.w;
-                // Q[i, base_i | x·bit], stored at qred[2i + x], accumulated
-                // over j ascending — the same term order as a dense W·R row
-                // product. Column `c` of `suffix` is row `c` of the
-                // transposed stack, so both reads stream contiguously. Four
-                // rows' chains run side by side (a lone chain waits on the
-                // adder); `dim == 2` repeats its two rows, and the repeats
-                // compute the same values again.
-                let s_row = |i: usize, x: usize| {
-                    let c = (i & !bit) | (x * bit);
-                    &suffix_t[c * dim..(c + 1) * dim]
-                };
-                for i0 in (0..dim).step_by(4) {
-                    let rows: [usize; 4] = std::array::from_fn(|r| (i0 + r) % dim);
-                    let q = dot2x4(
-                        rows.map(|i| &w[i * dim..(i + 1) * dim]),
-                        rows.map(|i| s_row(i, 0)),
-                        rows.map(|i| s_row(i, 1)),
-                    );
-                    for (&i, [q0, q1]) in rows.iter().zip(q) {
-                        ws.qred[2 * i] = q0;
-                        ws.qred[2 * i + 1] = q1;
-                    }
-                }
+        for (i, &kind) in self.kinds.iter().enumerate() {
+            if let OpKind::U3 { bit, u } = kind {
+                // Q[i, (i & !bit) | x·bit] over j ascending — the term order
+                // of a dense W·R row product. Column `c` of `suffix` is row
+                // `c` of the transposed stack, so both reads stream
+                // contiguously.
+                k.reduced_q(dim, bit, &ws.w, &ws.suffix[i + 1], &mut ws.qred);
                 // dT = Tr(Q · ∂G) per derivative, accumulated in row-major
                 // ascending-column order, the three chains side by side.
                 // Exact-zero derivative entries are *included* (a ±0 addend
                 // cannot change a nonzero sum), so the term set never
                 // depends on the parameters.
-                let dt = dtrace3(&ws.u3d[ui], &ws.qred, shift);
+                let dt = k.dtrace3(&ws.u3d[u], &ws.qred, bit);
                 // dC = −2·Re(conj(T)·dT)/N².
-                for &dtv in &dt {
-                    grad[gi] = -2.0 * (t.conj() * dtv).re / self.n2;
-                    gi += 1;
+                for (g, &dtv) in grad[3 * u..3 * u + 3].iter_mut().zip(&dt) {
+                    *g = -2.0 * (t.conj() * dtv).re / self.n2;
                 }
-                ui += 1;
-                if k == last_u3 {
+                if i == last_u3 {
                     break; // later fixed gates contribute no gradient
                 }
             }
-            ws.ops[k].apply_left_into(&ws.w, &mut ws.w2);
+            self.apply(k, kind, &ws.u3, false, &ws.w, &mut ws.w2);
             std::mem::swap(&mut ws.w, &mut ws.w2);
         }
         cost
+    }
+
+    /// `dst = G · src`, or `Gᵀ · src` when `transposed`, for one template
+    /// op. A CNOT is its own transpose.
+    #[inline(always)]
+    fn apply<K: Kernels>(
+        &self,
+        k: K,
+        kind: OpKind,
+        u3: &[M2],
+        transposed: bool,
+        src: &[C64],
+        dst: &mut [C64],
+    ) {
+        match kind {
+            OpKind::U3 { bit, u } => {
+                let m = u3[u];
+                let m = if transposed {
+                    [[m[0][0], m[1][0]], [m[0][1], m[1][1]]]
+                } else {
+                    m
+                };
+                k.gate_1q(self.dim, bit, m, src, dst);
+            }
+            OpKind::Cnot { cbit, tbit } => k.cnot(self.dim, cbit, tbit, src, dst),
+        }
     }
 
     /// Evaluates the cost for `lanes` parameter vectors packed lane-major in
@@ -560,6 +598,42 @@ mod tests {
         let c2 = cost_fn.cost_and_grad(&mut ws, &params, &mut g2);
         assert_eq!(c1.to_bits(), c2.to_bits());
         assert_eq!(g1, g2);
+    }
+
+    #[test]
+    fn avx_and_scalar_sweeps_agree_bitwise() {
+        // `cost` and `cost_and_grad` run the AVX instantiation of the sweep
+        // where this CPU has AVX; the scalar instantiation must match it on
+        // the cost and every gradient entry, bit for bit.
+        let mut rng = StdRng::seed_from_u64(8);
+        for n in 1..=4usize {
+            let max_layers = if n == 1 { 0 } else { 12 };
+            for layers in 0..=max_layers {
+                let t = (0..layers).fold(Template::initial(n), |t, _| {
+                    let c = rng.random_range(0..n);
+                    t.with_layer(c, (c + rng.random_range(1..n)) % n)
+                });
+                let target = haar_unitary(1 << n, &mut rng);
+                let cost_fn = HsCost::new(&t, &target);
+                let mut ws = cost_fn.workspace();
+                let params: Vec<f64> = (0..t.num_params())
+                    .map(|_| rng.random_range(-3.0..3.0))
+                    .collect();
+                let mut grad = vec![0.0; t.num_params()];
+                let c = cost_fn.cost_and_grad(&mut ws, &params, &mut grad);
+                let co = cost_fn.cost(&mut ws, &params);
+                let mut grad_s = vec![0.0; t.num_params()];
+                cost_fn.load_params(&mut ws, &params, true);
+                let c_s = cost_fn.grad_sweep(Scalar, &mut ws, &mut grad_s);
+                let co_s = cost_fn.cost_sweep(Scalar, &mut ws);
+                let what = format!("n {n} layers {layers}");
+                assert_eq!(c.to_bits(), c_s.to_bits(), "{what}: cost");
+                assert_eq!(co.to_bits(), co_s.to_bits(), "{what}: cost only");
+                for (i, (g, g_s)) in grad.iter().zip(&grad_s).enumerate() {
+                    assert_eq!(g.to_bits(), g_s.to_bits(), "{what}: param {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! early stop after the first start that reaches the target), same poison
 //! bookkeeping. The serial sweep below ([`serial_adam`]) is written
 //! independently of the library: one shared RNG stream, one start after
-//! another, one single-point cost evaluation per iteration. This holds in
-//! *both* numerics modes; only strict ↔ relaxed cross-build comparisons
-//! are by tolerance (covered by `batched_cost_tracks_plain_scalar_reference`
-//! below).
+//! another, one single-point cost evaluation per iteration. Only the
+//! comparison with a plain scalar evaluation of the circuit, which builds
+//! `V` in another product order, is by tolerance
+//! (`batched_cost_tracks_plain_scalar_reference` below).
 
 // Bitwise comparisons of deterministic paths are the point of this test.
 #![allow(clippy::float_cmp)]
@@ -174,11 +174,10 @@ fn dense_reference_cost(template: &Template, target: &qmath::Matrix, params: &[f
     1.0 - t.norm_sqr() / n2
 }
 
-/// In the default strict mode the cost is bit-for-bit reproducible and
-/// FD-consistent; under `simd-relaxed` it may differ from strict in
-/// rounding only. Evaluated through the batch API, so every lane of the
-/// lane loop is checked too. Either way it must stay within the documented tolerance
-/// (DESIGN.md §4j) of a plain scalar evaluation of the same circuit.
+/// The cost is bit-for-bit reproducible and FD-consistent. Evaluated
+/// through the batch API, so every lane of the lane loop is checked too,
+/// it must stay within the documented tolerance (DESIGN.md §4j) of a plain
+/// scalar evaluation of the same circuit.
 #[test]
 fn batched_cost_tracks_plain_scalar_reference() {
     let mut rng = StdRng::seed_from_u64(0x7013);
@@ -201,8 +200,7 @@ fn batched_cost_tracks_plain_scalar_reference() {
             let lane_params: Vec<f64> = (0..p).map(|i| xs[i * lanes + b]).collect();
             let want = dense_reference_cost(&template, &target, &lane_params);
             // The reference builds V through a different product order, so
-            // the strict paths agree to accumulation error, not to the bit;
-            // relaxed adds only FMA rounding differences on top.
+            // the two agree to accumulation error, not to the bit.
             assert!(
                 (costs[b] - want).abs() <= 1e-11 * want.abs().max(1.0),
                 "lane {b}: batched {} vs scalar reference {want}",

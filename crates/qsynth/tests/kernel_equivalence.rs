@@ -1,19 +1,15 @@
-//! Bit-identity of the batched kernel gradient path against an
+//! Bit-identity of the one-lane kernel gradient path against an
 //! embed-then-matmul reference of the same formulation.
 //!
-//! `HsCost::cost_and_grad` evaluates via a suffix-product sweep, an
-//! incrementally advanced left product `W = L_k · A†`, and a reduced-`Q`
-//! trace, all over batched SoA kernels. This test re-derives every quantity
+//! `HsCost::cost_and_grad` evaluates one start at a time via a
+//! suffix-product sweep, an incrementally advanced left product
+//! `W = L_k · A†`, and a reduced-`Q` trace, each gate one whole-matrix
+//! kernel call. This test re-derives every quantity
 //! with dense embedded gate matrices and `Matrix::matmul` and asserts
 //! *exact* agreement (f64 `==`, so nonzero values must match to the bit and
 //! exact zeros may differ in sign only) across templates, placements, and
 //! parameter draws.
-//!
-//! Strict numerics only: under `simd-relaxed` the kernels and the dense
-//! reference contract their FMAs with different operand orders, so
-//! agreement is by tolerance instead (see `tests/batch_invariance.rs`).
 
-#![cfg(not(feature = "simd-relaxed"))]
 // Exact float equality is deliberate: these tests assert bit-identical
 // results from deterministic code paths.
 #![allow(clippy::float_cmp)]

@@ -107,9 +107,9 @@ fn batched_cost_and_grad_is_allocation_free_after_workspace_construction() {
     let mut costs = [0.0; MAX_BATCH];
     let mut grads = vec![0.0; p * MAX_BATCH];
 
-    // Warm-up sweep over every width down to 1 (lane retirement in the
-    // optimizer shrinks the batch mid-run, and narrower evaluations must
-    // not allocate either); it also records the expected lane-0 cost sum.
+    // Warm-up sweep over every lane count down to 1 (the batch API is a
+    // loop of one-lane evaluations, and no lane count may allocate); it
+    // also records the expected lane-0 cost sum.
     let mut sweep = |acc: &mut f64| {
         for lanes in (1..=MAX_BATCH).rev() {
             cost.cost_and_grad_batch(

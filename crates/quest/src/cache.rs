@@ -522,9 +522,10 @@ fn unitary_hash(u: &Matrix) -> u64 {
 /// Fingerprints every configuration knob that shapes a block's menu —
 /// including the master seed, which `block_key` deliberately leaves out —
 /// while excluding the pure execution knob `parallel_width`, whose every
-/// setting is bit-identical by the determinism contract. The build's [`qmath::NUMERICS_MODE`] *is* hashed: strict and
-/// `simd-relaxed` builds round differently, so their menus must not share
-/// cache entries.
+/// setting is bit-identical by the determinism contract. It also hashes
+/// the literal `"strict"`, the tag of the one numerics mode, so that
+/// fingerprints (and the cache file names built from them) stay those of
+/// the builds that had a second, relaxed mode.
 ///
 /// Public because `questd` keys its per-configuration in-memory caches by
 /// this value: the memory tier's `block_key` excludes the master seed, so
@@ -534,7 +535,7 @@ fn unitary_hash(u: &Matrix) -> u64 {
 pub fn config_fingerprint(config: &QuestConfig) -> u64 {
     let mut h = DefaultHasher::new();
     DISK_CACHE_SCHEMA_VERSION.hash(&mut h);
-    qmath::NUMERICS_MODE.hash(&mut h);
+    "strict".hash(&mut h);
     config.seed.hash(&mut h);
     config.epsilon_per_block.to_bits().hash(&mut h);
     config.max_synthesis_cnots.hash(&mut h);

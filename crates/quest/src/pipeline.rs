@@ -542,6 +542,10 @@ impl Quest {
                 poisoned_starts: res.poisoned_starts,
             }
         };
+        let keys: Vec<u64> = blocks
+            .iter()
+            .map(|b| block_key(b.circuit(), &self.config))
+            .collect();
         let synth_one = |index: usize, block: &qpartition::Block| -> SynthesizedBlock {
             let _span = qobs::span!(
                 "quest.synthesize_block",
@@ -554,7 +558,7 @@ impl Quest {
             // uncached compilations bit-identical. The block unitary is
             // built once: it keys and re-verifies the disk entry, is the
             // synthesis target on a miss, and is the block's original.
-            let key = block_key(block.circuit(), &self.config);
+            let key = keys[index];
             let target = block.unitary();
             let menu = cache.get_or_insert_with(key, &target, &self.config, || {
                 synthesize_menu(key, block, &target)
@@ -585,16 +589,16 @@ impl Quest {
         // post-stage check. A slot left empty — cancelled, or its worker
         // died outside the per-block isolation — goes to the recovery pass.
         //
-        // Workers claim the costliest blocks first — widest, then most
-        // original CNOTs, ties in block order — so the slowest block does
-        // not start last and run alone. Claim order never changes a
-        // result: seeds are keyed by block content, and a duplicated block
-        // is served from the cache whichever copy synthesizes it.
-        let mut order: Vec<usize> = (0..blocks.len()).collect();
-        order.sort_by_key(|&i| {
-            let b = &blocks[i];
-            (Reverse(b.width()), Reverse(b.circuit().cnot_count()))
-        });
+        // Claim order never changes a result: seeds are keyed by block
+        // content, and a duplicated block is served from the cache
+        // whichever copy synthesizes it.
+        let order = claim_order(
+            &blocks
+                .iter()
+                .zip(&keys)
+                .map(|(b, &key)| (key, b.width(), b.circuit().cnot_count()))
+                .collect::<Vec<_>>(),
+        );
         let claimed = qsynth::pool::run_indexed(
             blocks.len(),
             block_workers,
@@ -958,6 +962,23 @@ fn cap_candidates(
     keep
 }
 
+/// The order the block workers claim blocks in, given each block's
+/// `(block_key, width, original CNOTs)`: every first occurrence of a key
+/// before any repeat, then the costliest first — widest, then most CNOTs —
+/// ties in block order. A repeat claimed early would only wait on its first
+/// copy's cache cell for that whole synthesis, holding a worker idle; the
+/// costliest block claimed late would run alone at the end.
+fn claim_order(blocks: &[(u64, usize, usize)]) -> Vec<usize> {
+    let mut seen = std::collections::BTreeSet::new();
+    let repeat: Vec<bool> = blocks.iter().map(|&(key, ..)| !seen.insert(key)).collect();
+    let mut order: Vec<usize> = (0..blocks.len()).collect();
+    order.sort_by_key(|&i| {
+        let (_, width, cnots) = blocks[i];
+        (repeat[i], Reverse(width), Reverse(cnots))
+    });
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -975,6 +996,34 @@ mod tests {
 
     fn fast_quest() -> Quest {
         Quest::new(QuestConfig::fast().with_seed(42))
+    }
+
+    #[test]
+    fn claim_order_claims_no_repeat_before_a_first_occurrence() {
+        // (block_key, width, CNOTs). Key 7's repeat outranks the first
+        // occurrences of keys 9 and 5 on cost alone.
+        let blocks = [(7, 3, 4), (7, 3, 4), (9, 3, 2), (5, 2, 6), (9, 3, 2)];
+        assert_eq!(claim_order(&blocks), [0, 2, 3, 1, 4]);
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..200 {
+            let blocks: Vec<(u64, usize, usize)> = (0..rng.random_range(0..12))
+                .map(|_| {
+                    let k = rng.random_range(0..6usize);
+                    // Width and CNOTs follow from the block's content.
+                    (k as u64, 2 + k % 3, (k * 5) % 7)
+                })
+                .collect();
+            let order = claim_order(&blocks);
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert!(sorted.iter().copied().eq(0..blocks.len()), "{order:?}");
+            let first = |i: usize| blocks[..i].iter().all(|b| b.0 != blocks[i].0);
+            let firsts = order.iter().take_while(|&&i| first(i)).count();
+            assert!(
+                order[firsts..].iter().all(|&i| !first(i)),
+                "{blocks:?}: {order:?}"
+            );
+        }
     }
 
     #[test]

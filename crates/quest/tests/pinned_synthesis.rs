@@ -10,10 +10,6 @@
 //! optimizer, the LEAP search or the work queue that silently changes the
 //! search trajectory fails here even when it stays self-consistent. Update
 //! the constants only for a change that is meant to alter synthesis.
-//!
-//! The constants are the default strict numerics mode's. The
-//! `simd-relaxed` build rounds differently (DESIGN.md §4j), so there the
-//! test only checks that every thread budget reproduces the width-1 run.
 
 use quest::{BlockCache, DiskCacheConfig, Quest, QuestConfig, QuestResult};
 
@@ -122,9 +118,7 @@ fn pinned(r: &QuestResult) -> Pinned {
 #[test]
 fn synthesis_matches_recorded_values_at_every_width() {
     let serial = compile(1);
-    if cfg!(not(feature = "simd-relaxed")) {
-        assert_eq!(serial, recorded(), "width 1");
-    }
+    assert_eq!(serial, recorded(), "width 1");
     assert_eq!(compile(2), serial, "width 2");
 }
 
@@ -144,8 +138,6 @@ fn warm_recompile_from_disk_matches_recorded_values() {
     assert_eq!(warm.cache.validation_failures, 0, "{:?}", warm.cache);
     let warm = pinned(&warm);
     let _ = std::fs::remove_dir_all(&dir);
-    if cfg!(not(feature = "simd-relaxed")) {
-        assert_eq!(warm, recorded(), "warm");
-    }
+    assert_eq!(warm, recorded(), "warm");
     assert_eq!(warm, cold, "warm against cold");
 }
